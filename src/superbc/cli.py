@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 import superbc
-from superbc.exactalg import scalar_text
+from superbc.exactalg import scalar_text, signed_sum_text
 from superbc.interpbc import (
     DegenerateNormalization,
     PROPERTIES,
@@ -25,11 +25,12 @@ from superbc.interpbc import (
     grid_point,
     interpolation_J,
     k_mu,
+    paper_or_top,
     verify_properties,
 )
 from superbc.partitions import HookParams, NotAHook, Partition, enumerate_hooks, sort_key
 from superbc.superpoly import super_jack
-from superbc.symmfunc import jack_P, load_jack_cache, save_jack_cache
+from superbc.symmfunc import DegenerateParameter, jack_P, load_jack_cache, save_jack_cache
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -82,17 +83,10 @@ def _symfun_records(f) -> dict:
 
 
 def _symfun_text(f) -> str:
-    if not f.coeffs:
-        return "0"
-    bits = []
-    for lam, c in sorted(f.coeffs.items(), key=lambda kv: sort_key(kv[0])):
-        cs = scalar_text(c)
-        piece = f"p[{lam}]" if cs == "1" else (f"-p[{lam}]" if cs == "-1" else f"{cs}*p[{lam}]")
-        bits.append(piece)
-    text = bits[0]
-    for piece in bits[1:]:
-        text += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-    return text
+    return signed_sum_text(
+        (scalar_text(c), f"p[{lam}]")
+        for lam, c in sorted(f.coeffs.items(), key=lambda kv: sort_key(kv[0]))
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,20 +225,15 @@ def _interp_lines(j) -> list:
 
 def _cmd_interp(args):
     hp = HookParams(args.p, args.q)
-    code = 0
     if args.mode is None:
-        try:
-            j = interpolation_J(args.mu, hp, "paper")
-        except DegenerateNormalization:
-            j = interpolation_J(args.mu, hp, "top")
-            code = 3
-    else:
-        try:
-            j = interpolation_J(args.mu, hp, args.mode)
-        except DegenerateNormalization as err:
-            result = {"error": "degenerate-normalization", "detail": str(err)}
-            return 3, result, [f"degenerate normalization: {err}"]
-    return code, _interp_result(j), _interp_lines(j)
+        j = paper_or_top(args.mu, hp)
+        return (3 if j.mode == "top" else 0), _interp_result(j), _interp_lines(j)
+    try:
+        j = interpolation_J(args.mu, hp, args.mode)
+    except DegenerateNormalization as err:
+        result = {"error": "degenerate-normalization", "detail": str(err)}
+        return 3, result, [f"degenerate normalization: {err}"]
+    return 0, _interp_result(j), _interp_lines(j)
 
 
 def _cmd_kmu(args):
@@ -313,10 +302,16 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     cache_path = args.cache or os.environ.get("SUPERBC_CACHE")
     if cache_path and os.path.exists(cache_path):
-        load_jack_cache(cache_path)
+        try:
+            load_jack_cache(cache_path)
+        except ValueError as err:
+            print(
+                f"warning: ignoring cache file {cache_path}, which does not parse: {err}",
+                file=sys.stderr,
+            )
     try:
         code, result, lines = args.func(args)
-    except (NotAHook, ValueError, ZeroDivisionError) as err:
+    except (NotAHook, ValueError, ZeroDivisionError, DegenerateParameter) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     if cache_path:

@@ -92,29 +92,35 @@ def _peval(a: tuple, x: Fraction) -> Fraction:
     return acc
 
 
-def _ptext(cs: tuple, sym: str) -> str:
-    if not cs:
-        return "0"
-    chunks = []
-    for e in range(len(cs) - 1, -1, -1):
-        c = cs[e]
-        if not c:
-            continue
-        if e == 0:
-            piece = str(c)
+def signed_sum_text(pairs) -> str:
+    """Join (coefficient text, monomial text) pairs into one signed sum.  A
+    unit coefficient is left out, an empty monomial stands for 1, and a
+    leading minus sign becomes the joining operator; no terms print as 0."""
+    text = ""
+    for cs, mon in pairs:
+        if not mon:
+            piece = cs
+        elif cs == "1":
+            piece = mon
+        elif cs == "-1":
+            piece = f"-{mon}"
         else:
-            var = sym if e == 1 else f"{sym}^{e}"
-            if c == 1:
-                piece = var
-            elif c == -1:
-                piece = f"-{var}"
-            else:
-                piece = f"{c}*{var}"
-        chunks.append(piece)
-    text = chunks[0]
-    for piece in chunks[1:]:
-        text += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-    return text
+            piece = f"{cs}*{mon}"
+        if not text:
+            text = piece
+        elif piece.startswith("-"):
+            text += f" - {piece[1:]}"
+        else:
+            text += f" + {piece}"
+    return text or "0"
+
+
+def _ptext(cs: tuple, sym: str) -> str:
+    return signed_sum_text(
+        (str(cs[e]), "" if e == 0 else sym if e == 1 else f"{sym}^{e}")
+        for e in range(len(cs) - 1, -1, -1)
+        if cs[e]
+    )
 
 
 class RatFunc:
@@ -363,10 +369,6 @@ class SparsePoly:
         exps = tuple(1 if v == name else 0 for v in vars_t)
         return cls._raw(vars_t, {exps: _ONE})
 
-    @classmethod
-    def monomial(cls, variables: Sequence[str], exps: Sequence[int], c) -> "SparsePoly":
-        return cls(variables, {tuple(exps): c})
-
     def _check_same(self, other: "SparsePoly") -> None:
         if self.vars != other.vars:
             raise VariableMismatch(f"variable lists differ: {self.vars!r} vs {other.vars!r}")
@@ -455,9 +457,6 @@ class SparsePoly:
     def homogeneous_part(self, d: int) -> "SparsePoly":
         return SparsePoly._raw(self.vars, {e: c for e, c in self.terms.items() if sum(e) == d})
 
-    def coefficient(self, exps: Sequence[int]) -> Scalar:
-        return self.terms.get(tuple(exps), _ZERO)
-
     def evaluate(self, values: Sequence) -> Scalar:
         """Evaluate at a full assignment of exact scalars."""
         if len(values) != len(self.vars):
@@ -526,9 +525,7 @@ class SparsePoly:
         return [(e, self.terms[e]) for e in sorted(self.terms, key=lambda t: (sum(t), t), reverse=True)]
 
     def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
+        pairs = []
         for exps, c in self.sorted_terms():
             mon = "*".join(
                 (v if k == 1 else f"{v}^{k}") for v, k in zip(self.vars, exps) if k
@@ -536,19 +533,8 @@ class SparsePoly:
             cs = scalar_text(c)
             if isinstance(c, RatFunc) and not c.is_constant():
                 cs = f"({cs})"
-            if not mon:
-                piece = cs
-            elif cs == "1":
-                piece = mon
-            elif cs == "-1":
-                piece = f"-{mon}"
-            else:
-                piece = f"{cs}*{mon}"
-            chunks.append(piece)
-        text = chunks[0]
-        for piece in chunks[1:]:
-            text += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-        return text
+            pairs.append((cs, mon))
+        return signed_sum_text(pairs)
 
     def __str__(self) -> str:
         return self.to_text()

@@ -301,6 +301,7 @@ class ExpansionReport:
     orientation: str  # direct | reciprocal | both | mixed
 
 
+@lru_cache(maxsize=None)
 def expansion_identity(m: int, hp: HookParams) -> ExpansionReport:
     """Expand (1/m!) (sum x_i^2 - sum y_j^2)^m exactly over the size-m squared
     basis and compare every measured coefficient e_nu against the hook
@@ -336,13 +337,18 @@ def expansion_identity(m: int, hp: HookParams) -> ExpansionReport:
     return ExpansionReport(m, hp, tuple(entries), orientation)
 
 
+def _expansion_coefficient(mu: Partition, hp: HookParams) -> Fraction:
+    """e_mu for a (p, q)-hook mu."""
+    report = expansion_identity(mu.size, hp)
+    return next(en.coefficient for en in report.entries if en.nu == mu)
+
+
 def derive_k(mu: Partition, hp: HookParams) -> Fraction:
     """Constant implied by the measured quantities: (2^{-|mu|} e_mu) / t_mu,
     with e_mu the expansion coefficient and t_mu the measured top coefficient
     of J_mu."""
-    report = expansion_identity(mu.size, hp)
-    e = next(en.coefficient for en in report.entries if en.nu == mu)
-    j = paper_or_top(mu, hp)
+    j = paper_or_top(mu, hp)  # raises NotAHook before the e_mu lookup
+    e = _expansion_coefficient(mu, hp)
     return Fraction(1, 2) ** mu.size * e / j.measured_top_coefficient
 
 
@@ -369,11 +375,10 @@ def constants_ledger(hp: HookParams, max_size: int) -> tuple:
     measured values by powers of 2 under this variable scaling."""
     rows = []
     for mu in enumerate_hooks(hp, max_size, "upto"):
-        report = expansion_identity(mu.size, hp)
-        e = next(en.coefficient for en in report.entries if en.nu == mu)
+        e = _expansion_coefficient(mu, hp)
         j = paper_or_top(mu, hp)
         t = j.measured_top_coefficient
-        k_derived = Fraction(1, 2) ** mu.size * e / t
+        k_derived = derive_k(mu, hp)
         rows.append(
             ConstantsRow(
                 mu=mu,

@@ -127,27 +127,17 @@ def is_hook(lam: Partition, hp: HookParams) -> bool:
     return lam.is_hook(hp)
 
 
-@lru_cache(maxsize=None)
 def partitions_of(d: int) -> tuple[Partition, ...]:
     """All partitions of d in reverse-lexicographic order."""
     if d < 0:
         raise ValueError("size must be nonnegative")
-    out: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, cap: int, prefix: tuple[int, ...]) -> None:
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for v in range(min(cap, remaining), 0, -1):
-            rec(remaining - v, v, prefix + (v,))
-
-    rec(d, d, ())
-    out.sort(key=lambda t: tuple(-v for v in t))
-    return tuple(Partition(t) for t in out)
+    return _hooks_exact(d, d, d)
 
 
 @lru_cache(maxsize=None)
 def _hooks_exact(p: int, q: int, d: int) -> tuple[Partition, ...]:
+    """Partitions of d whose rows after the p-th have length <= q; the row cap
+    prunes the recursion, so the cost follows the output, not p(d)."""
     out: list[tuple[int, ...]] = []
 
     def rec(remaining: int, cap: int, row: int, prefix: tuple[int, ...]) -> None:

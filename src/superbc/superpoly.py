@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 
 from superbc.exactalg import SparsePoly, VariableMismatch, as_scalar
 from superbc.partitions import HookParams, Partition, enumerate_hooks, sort_key
@@ -35,67 +34,37 @@ def h_variables(hp: HookParams) -> tuple:
     )
 
 
-def power_sum(r: int, hp: HookParams) -> SparsePoly:
-    """Signed two-family power sum sum x_i^r - (-1)^r sum y_j^r."""
+def _signed_power_sum(variables: tuple, n_x: int, r: int, ycoeff) -> SparsePoly:
+    """Sum of v^r over the first n_x variables plus ycoeff times the sum of
+    v^r over the rest."""
     if r < 1:
         raise ValueError("power sums are indexed by positive integers")
-    variables = a_variables(hp)
     n = len(variables)
     terms = {}
-    ysign = Fraction(-((-1) ** r))
-    for i in range(hp.p):
+    for i in range(n):
         e = [0] * n
         e[i] = r
-        terms[tuple(e)] = Fraction(1)
-    for j in range(hp.q):
-        e = [0] * n
-        e[hp.p + j] = r
-        terms[tuple(e)] = ysign
+        terms[tuple(e)] = Fraction(1) if i < n_x else ycoeff
     return SparsePoly(variables, terms)
+
+
+def power_sum(r: int, hp: HookParams) -> SparsePoly:
+    """Signed two-family power sum sum x_i^r - (-1)^r sum y_j^r."""
+    return _signed_power_sum(a_variables(hp), hp.p, r, -((-1) ** r))
 
 
 def power_sum_doubled(r: int, hp: HookParams) -> SparsePoly:
     """The same signed power sum on the doubled list of 2p + 2q variables."""
-    if r < 1:
-        raise ValueError("power sums are indexed by positive integers")
-    variables = h_variables(hp)
-    n = len(variables)
-    terms = {}
-    ysign = Fraction(-((-1) ** r))
-    for i in range(2 * hp.p):
-        e = [0] * n
-        e[i] = r
-        terms[tuple(e)] = Fraction(1)
-    for j in range(2 * hp.q):
-        e = [0] * n
-        e[2 * hp.p + j] = r
-        terms[tuple(e)] = ysign
-    return SparsePoly(variables, terms)
-
-
-@lru_cache(maxsize=None)
-def _phi_generator(r: int, hp: HookParams, theta) -> SparsePoly:
-    # image of p_r: sum x_i^r - (1/theta) sum y_j^r
-    variables = a_variables(hp)
-    n = len(variables)
-    ycoeff = as_scalar(-1) / theta
-    terms = {}
-    for i in range(hp.p):
-        e = [0] * n
-        e[i] = r
-        terms[tuple(e)] = Fraction(1)
-    for j in range(hp.q):
-        e = [0] * n
-        e[hp.p + j] = r
-        terms[tuple(e)] = ycoeff
-    return SparsePoly(variables, terms)
+    return _signed_power_sum(h_variables(hp), 2 * hp.p, r, -((-1) ** r))
 
 
 @lru_cache(maxsize=None)
 def _phi_product(parts: tuple, hp: HookParams, theta) -> SparsePoly:
     if not parts:
         return SparsePoly.constant(a_variables(hp), 1)
-    return _phi_generator(parts[0], hp, theta) * _phi_product(parts[1:], hp, theta)
+    # image of p_r: sum x_i^r - (1/theta) sum y_j^r
+    head = _signed_power_sum(a_variables(hp), hp.p, parts[0], as_scalar(-1) / theta)
+    return head * _phi_product(parts[1:], hp, theta)
 
 
 def phi_theta(f: SymFun, hp: HookParams, theta) -> SparsePoly:
@@ -124,25 +93,14 @@ def squared_substitution(f: SparsePoly, hp: HookParams) -> SparsePoly:
     return SparsePoly(f.vars, {tuple(2 * e for e in exps): c for exps, c in f.terms.items()})
 
 
-def _permuted(f: SparsePoly, perm: tuple) -> SparsePoly:
-    terms = {}
-    for exps, c in f.terms.items():
-        new = [0] * len(exps)
-        for i, e in enumerate(exps):
-            new[perm[i]] = e
-        terms[tuple(new)] = c
-    return SparsePoly(f.vars, terms)
-
-
-def _block_permutations(hp: HookParams):
-    p, q = hp.p, hp.q
-    for sx in permutations(range(p)):
-        for sy in permutations(range(q)):
-            yield tuple(sx) + tuple(p + j for j in sy)
+def _swapped(f: SparsePoly, i: int) -> SparsePoly:
+    """f with variables i and i + 1 exchanged."""
+    return SparsePoly(f.vars, {e[:i] + (e[i + 1], e[i]) + e[i + 2 :]: c for e, c in f.terms.items()})
 
 
 def _separately_symmetric(f: SparsePoly, hp: HookParams) -> bool:
-    return all(_permuted(f, perm) == f for perm in _block_permutations(hp))
+    # adjacent transpositions generate the symmetric group of each family
+    return all(_swapped(f, i) == f for i in range(hp.p + hp.q - 1) if i != hp.p - 1)
 
 
 def _t_independent(f: SparsePoly, hp: HookParams, y_sign: int) -> bool:

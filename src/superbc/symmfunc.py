@@ -255,12 +255,7 @@ def jack_inner(f: SymFun, g: SymFun, theta):
     theta = as_scalar(theta)
     if not theta:
         raise DegenerateParameter("theta = 0 degenerates the inner product")
-    total = Fraction(0)
-    for lam, a in f.coeffs.items():
-        b = g.coeffs.get(lam)
-        if b:
-            total = total + a * b * z_lambda(lam) * theta ** (-lam.length)
-    return total
+    return _inner_p_dicts(f.coeffs, g.coeffs, theta)
 
 
 def _inner_p_dicts(a: dict, b: dict, theta):
@@ -377,18 +372,21 @@ def save_jack_cache(path) -> None:
 
 
 def load_jack_cache(path) -> int:
-    """Merge a persisted cache; returns the number of entries loaded."""
+    """Merge a persisted cache; returns the number of entries loaded.  The
+    whole file is parsed before anything is merged, so a file that fails to
+    parse leaves the in-memory cache untouched."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    count = 0
+    loaded = []
+    for entry in data.get("entries", []):
+        lam = Partition.parse(entry["partition"])
+        theta = THETA if entry["theta"] == "generic" else Fraction(entry["theta"])
+        m_vec = {
+            Partition.parse(t["partition"]): _scalar_from_json(t["coefficient"])
+            for t in entry["m"]
+        }
+        loaded.append(((lam.parts, theta), m_vec))
     with _jack_lock:
-        for entry in data.get("entries", []):
-            lam = Partition.parse(entry["partition"])
-            theta = THETA if entry["theta"] == "generic" else Fraction(entry["theta"])
-            m_vec = {
-                Partition.parse(t["partition"]): _scalar_from_json(t["coefficient"])
-                for t in entry["m"]
-            }
-            _jack_cache.setdefault((lam.parts, theta), m_vec)
-            count += 1
-    return count
+        for key, m_vec in loaded:
+            _jack_cache.setdefault(key, m_vec)
+    return len(loaded)

@@ -115,6 +115,9 @@ def test_usage_errors_exit_2():
     assert spawn("jack", "--mu", "2", "--theta", "1.5").returncode == 2  # float theta
     assert spawn("grid", "--lambda", "2,2", "--p", "1", "--q", "1").returncode == 2  # not a hook
     assert spawn("kmu", "--mu", "1", "--p", "2").returncode == 2  # half a hook pair
+    assert spawn("kmu", "--mu", "2,2", "--p", "1", "--q", "1").returncode == 2  # not a hook
+    assert spawn("jack", "--mu", "2", "--theta", "0").returncode == 2  # degenerate theta
+    assert spawn("jack", "--mu", "2", "--theta", "-1").returncode == 2  # vanishing norm
 
 
 def test_verify_structured_determinism():
@@ -144,6 +147,33 @@ def test_cache_env_var(tmp_path):
     out = spawn("jack", "--mu", "2", "--theta", "1", env=env)
     assert out.returncode == 0
     assert path.exists()
+
+
+def test_unreadable_cache_is_ignored(tmp_path):
+    path = tmp_path / "cache.json"
+    path.write_text('{"format": 1, "entries": [')
+    args = ("jack", "--mu", "2,1", "--theta", "1")
+    fresh = spawn(*args)
+    out = spawn(*args, "--cache", str(path))
+    assert out.returncode == fresh.returncode == 0
+    assert out.stdout == fresh.stdout
+    assert out.stderr.startswith("warning:")
+    assert json.loads(path.read_text())["format"] == 1
+
+
+def test_cache_file_failing_to_parse_is_ignored_whole(tmp_path):
+    # A well-formed but wrong first entry followed by an unparseable one: the
+    # first must not be merged and used.
+    path = tmp_path / "cache.json"
+    poisoned = {"partition": "2", "theta": "1", "m": [{"partition": "2", "coefficient": "7"}]}
+    broken = {"partition": "1,1", "theta": "x", "m": []}
+    path.write_text(json.dumps({"format": 1, "entries": [poisoned, broken]}))
+    args = ("jack", "--mu", "2", "--theta", "1")
+    fresh = spawn(*args)
+    out = spawn(*args, "--cache", str(path))
+    assert out.returncode == fresh.returncode == 0
+    assert out.stdout == fresh.stdout
+    assert out.stderr.startswith("warning:")
 
 
 def test_version_flag():

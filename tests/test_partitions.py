@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given
 
@@ -114,6 +116,17 @@ def test_enumerate_hooks_against_brute_force():
                 upto = enumerate_hooks(hp, d, "upto")
                 assert len(upto) == sum(len(enumerate_hooks(hp, e, "exact")) for e in range(d + 1))
                 assert upto == sorted(upto, key=sort_key)
+
+
+def test_enumerate_hooks_prunes_non_hooks():
+    # p(60) is about a million partitions; a (1, 1) hook enumeration that
+    # builds them all and filters takes seconds, the pruned one milliseconds.
+    start = time.perf_counter()
+    hooks = enumerate_hooks(HookParams(1, 1), 60)
+    elapsed = time.perf_counter() - start
+    assert len(hooks) == 60
+    assert hooks[0] == Partition.of(60) and hooks[-1] == Partition((1,) * 60)
+    assert elapsed < 1.0
 
 
 def test_containment_partial_order():

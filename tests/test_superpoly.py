@@ -82,6 +82,11 @@ def test_is_supersymmetric_examples():
     assert not is_supersymmetric(SparsePoly(("x1", "y1"), {(2, 0): 1}), HP11, "signed")
     with pytest.raises(VariableMismatch):
         is_supersymmetric(SparsePoly(("x1",), {(1,): 1}), HP11)
+    # invariant under the 3-cycle of x1, x2, x3 but under no transposition
+    cyclic = SparsePoly(a_variables(HookParams(3, 1)), {(2, 1, 0, 0): 1, (0, 2, 1, 0): 1, (1, 0, 2, 0): 1})
+    assert not is_supersymmetric(cyclic, HookParams(3, 1), "signed")
+    for r in (1, 2, 3, 4):
+        assert is_supersymmetric(power_sum(r, HookParams(3, 2)), HookParams(3, 2), "signed")
 
 
 def test_asymmetric_poly_rejected():
@@ -113,6 +118,60 @@ def test_hook_vanishing_small():
     for d in range(5):
         for lam in partitions_of(d):
             assert super_jack(lam, hp, ONE).is_zero() == (not lam.is_hook(hp))
+
+
+def _skew_schur(outer: Partition, inner: Partition, n: int) -> dict:
+    """Exponent vectors (length n) of the semistandard fillings of
+    outer/inner with entries 1..n, with multiplicity."""
+    cells = [(i, j) for i in range(1, outer.length + 1)
+             for j in range(inner.part(i) + 1, outer.part(i) + 1)]
+    out: dict = {}
+
+    def fill(k: int, tableau: dict) -> None:
+        if k == len(cells):
+            e = [0] * n
+            for v in tableau.values():
+                e[v - 1] += 1
+            out[tuple(e)] = out.get(tuple(e), 0) + 1
+            return
+        i, j = cells[k]
+        low = max(tableau.get((i, j - 1), 1), tableau.get((i - 1, j), 0) + 1)
+        for v in range(low, n + 1):
+            tableau[(i, j)] = v
+            fill(k + 1, tableau)
+        tableau.pop((i, j), None)
+
+    fill(0, {})
+    return out
+
+
+def _hook_schur(lam: Partition, hp: HookParams) -> SparsePoly:
+    """Sum over mu <= lam with len(mu) <= p of
+    s_mu(x) (-1)^{|lam| - |mu|} s_{lam'/mu'}(y), by tableau enumeration."""
+    terms: dict = {}
+    for d in range(lam.size + 1):
+        for mu in partitions_of(d):
+            if mu.length > hp.p or not lam.contains(mu):
+                continue
+            sign = (-1) ** (lam.size - d)
+            ys = _skew_schur(lam.transpose(), mu.transpose(), hp.q)
+            for ex, cx in _skew_schur(mu, Partition(), hp.p).items():
+                for ey, cy in ys.items():
+                    terms[ex + ey] = terms.get(ex + ey, 0) + sign * cx * cy
+    return SparsePoly(a_variables(hp), terms)
+
+
+def test_super_jack_at_one_is_the_hook_schur_polynomial():
+    # independent of the Jack code: at theta = 1 the super Jack polynomial is
+    # the (sign-twisted) hook Schur polynomial of Berele and Regev
+    cases = [((1, 1), 5), ((2, 1), 5), ((1, 2), 5), ((2, 2), 5), ((3, 3), 4)]
+    for (p, q), top in cases:
+        hp = HookParams(p, q)
+        for d in range(top + 1):
+            for lam in partitions_of(d):
+                expected = _hook_schur(lam, hp)
+                assert expected.is_zero() == (not lam.is_hook(hp))
+                assert super_jack(lam, hp, ONE) == expected, (lam, hp)
 
 
 def test_lambda0_basis_examples():
