@@ -42,6 +42,18 @@ def _rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _glue_negative_rationals(argv: list) -> list:
+    """Write `--theta -1/2` as `--theta=-1/2`: argparse reads a value that
+    starts with "-" as an option unless it looks like -N or -N.N."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--theta" and arg.startswith("-") and _RATIONAL.match(arg):
+            out[-1] = f"--theta={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def _positive(text: str) -> int:
     try:
         v = int(text)
@@ -299,7 +311,7 @@ def _invocation(args) -> dict:
 
 def run(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_negative_rationals(sys.argv[1:] if argv is None else list(argv)))
     cache_path = args.cache or os.environ.get("SUPERBC_CACHE")
     if cache_path and os.path.exists(cache_path):
         try:

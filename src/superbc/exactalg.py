@@ -8,8 +8,10 @@ is closed and exact.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence, Union
 
 _ZERO = Fraction(0)
@@ -286,7 +288,7 @@ Scalar = Union[Fraction, RatFunc]
 
 
 def as_scalar(v) -> Scalar:
-    if isinstance(v, RatFunc):
+    if type(v) is Fraction or isinstance(v, RatFunc):
         return v
     if isinstance(v, (int, Fraction)):
         return Fraction(v)
@@ -458,10 +460,32 @@ class SparsePoly:
         return SparsePoly._raw(self.vars, {e: c for e, c in self.terms.items() if sum(e) == d})
 
     def evaluate(self, values: Sequence) -> Scalar:
-        """Evaluate at a full assignment of exact scalars."""
+        """Evaluate at a full assignment of exact scalars.
+
+        At an integer point of a polynomial with rational coefficients the
+        sum runs in Python integers over the common denominator of the
+        coefficients, with one power table per variable, and is reduced
+        once at the end."""
         if len(values) != len(self.vars):
             raise VariableMismatch(f"expected {len(self.vars)} values, got {len(values)}")
         vals = [as_scalar(v) for v in values]
+        terms = self.terms
+        if all(isinstance(v, Fraction) and v.denominator == 1 for v in vals) and all(
+            isinstance(c, Fraction) for c in terms.values()
+        ):
+            den = lcm(*(c.denominator for c in terms.values()))
+            tables = [
+                [v.numerator**k for k in range(top + 1)]
+                for v, top in zip(vals, map(max, zip(*terms)))
+            ]
+            acc = 0
+            for exps, c in terms.items():
+                term = c.numerator * (den // c.denominator)
+                for table, e in zip(tables, exps):
+                    if e:
+                        term *= table[e]
+                acc += term
+            return Fraction(acc, den)
         total: Scalar = _ZERO
         for exps, c in self.terms.items():
             term = c
@@ -585,6 +609,12 @@ class LinearSolveOutcome:
     nullspace: tuple | None = None
 
 
+def _integer_row(row) -> tuple:
+    """A row of Fractions scaled to integers by the lcm of its denominators."""
+    scale = lcm(*(v.denominator for v in row))
+    return tuple(v.numerator * (scale // v.denominator) for v in row)
+
+
 def solve_exact(matrix: Sequence[Sequence], rhs: Sequence, ncols: int | None = None) -> LinearSolveOutcome:
     """Classify and solve A x = b over the exact scalars.
 
@@ -592,6 +622,12 @@ def solve_exact(matrix: Sequence[Sequence], rhs: Sequence, ncols: int | None = N
     the previous pivot, which is an exact division over an integral domain
     and keeps intermediate growth polynomial.  Nullspace vectors are
     normalized so their first nonzero coordinate is 1.
+
+    When every entry is rational, each augmented row is scaled to integers
+    and repeated rows are dropped, so elimination runs in Python integers
+    with exact floor division; back-substitution then runs in Fractions.
+    Neither step changes the solution set, and the reported solution and
+    nullspace are determined by it, so the outcome is the rational one.
     """
     rows = [[as_scalar(v) for v in r] for r in matrix]
     b = [as_scalar(v) for v in rhs]
@@ -607,8 +643,14 @@ def solve_exact(matrix: Sequence[Sequence], rhs: Sequence, ncols: int | None = N
     else:
         n = ncols or 0
     aug = [rows[i] + [b[i]] for i in range(m)]
+    if all(isinstance(v, Fraction) for row in aug for v in row):
+        aug = [list(row) for row in dict.fromkeys(map(_integer_row, aug))]
+        exact = operator.floordiv
+    else:
+        exact = operator.truediv
+    m = len(aug)
     piv_cols: list[int] = []
-    prev: Scalar = _ONE
+    prev = 1
     r = 0
     for c in range(n):
         if r == m:
@@ -618,12 +660,13 @@ def solve_exact(matrix: Sequence[Sequence], rhs: Sequence, ncols: int | None = N
             continue
         if pr != r:
             aug[r], aug[pr] = aug[pr], aug[r]
-        pivot = aug[r][c]
+        prow = aug[r]
+        pivot = prow[c]
         for i in range(r + 1, m):
-            head = aug[i][c]
-            for j in range(c + 1, n + 1):
-                aug[i][j] = (pivot * aug[i][j] - head * aug[r][j]) / prev
-            aug[i][c] = _ZERO
+            row = aug[i]
+            head = row[c]
+            row[c + 1:] = [exact(pivot * a - head * p, prev) for a, p in zip(row[c + 1:], prow[c + 1:])]
+            row[c] = 0
         prev = pivot
         piv_cols.append(c)
         r += 1
@@ -631,11 +674,13 @@ def solve_exact(matrix: Sequence[Sequence], rhs: Sequence, ncols: int | None = N
     for i in range(rank, m):
         if aug[i][n]:
             return LinearSolveOutcome(INCONSISTENT)
+    # as_scalar lifts integer entries to Fractions, so no int / int division
+    # happens below.
     if rank == n:
         x: list[Scalar] = [_ZERO] * n
         for k in range(rank - 1, -1, -1):
             c = piv_cols[k]
-            acc = aug[k][n]
+            acc = as_scalar(aug[k][n])
             for j in range(c + 1, n):
                 if aug[k][j] and x[j]:
                     acc = acc - aug[k][j] * x[j]

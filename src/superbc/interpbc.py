@@ -121,6 +121,7 @@ def weyl_vectors(hp: HookParams) -> tuple:
     return GridPoint(hp, "a", tuple(rho_a)), GridPoint(hp, "h", tuple(rho_h))
 
 
+@lru_cache(maxsize=None)
 def grid_point(lam: Partition, hp: HookParams) -> GridPoint:
     """Shifted partition point 2*(lam_1..lam_p, <lam'_j - p>) + rho."""
     if not lam.is_hook(hp):
@@ -175,6 +176,37 @@ def normalization_target_plain(mu: Partition, hp: HookParams) -> Fraction:
     return c_factor(mu, 1, -1, "minus") * c_factor(mu, 2 * hp.q - 2 * hp.p, -1, "plus")
 
 
+def _fixed_top(mu: Partition) -> Fraction:
+    """Top coefficient of J_mu in mode "top"."""
+    return Fraction(-1, 4) ** mu.size
+
+
+def _vanishing_system(mu: Partition, hp: HookParams, mode: str, window: int) -> tuple:
+    """Unknowns, matrix and right-hand side of the system for J_mu: one row
+    J(grid(lam)) = 0 for each hook lam of size <= |mu| + window that does
+    not contain mu, then in mode "paper" the normalization row at grid(mu).
+    The unknowns are the squared basis elements below size |mu|, and mu
+    itself in mode "paper"."""
+    d = mu.size
+    unknowns = [nu for nu in enumerate_hooks(hp, d, "upto") if nu.size < d]
+    if mode == "paper":
+        unknowns.append(mu)
+    matrix = []
+    rhs = []
+    for lam in enumerate_hooks(hp, d + window, "upto"):
+        if lam.contains(mu):
+            continue
+        matrix.append([_basis_value(nu, lam, hp) for nu in unknowns])
+        if mode == "top":
+            rhs.append(-_fixed_top(mu) * _basis_value(mu, lam, hp))
+        else:
+            rhs.append(Fraction(0))
+    if mode == "paper":
+        matrix.append([_basis_value(nu, mu, hp) for nu in unknowns])
+        rhs.append(normalization_target(mu, hp))
+    return unknowns, matrix, rhs
+
+
 @lru_cache(maxsize=None)
 def interpolation_J(mu: Partition, hp: HookParams, mode: str = "paper") -> InterpolationResult:
     """Solve for J_mu in the squared super Jack basis of degree <= 2|mu|.
@@ -190,37 +222,16 @@ def interpolation_J(mu: Partition, hp: HookParams, mode: str = "paper") -> Inter
         raise ValueError(f"unknown mode {mode!r}")
     if not mu.is_hook(hp):
         raise NotAHook(f"{mu} is not a ({hp.p}, {hp.q})-hook partition")
-    d = mu.size
-    hooks_d = enumerate_hooks(hp, d, "upto")
-    lower = [nu for nu in hooks_d if nu.size < d]
     target = normalization_target(mu, hp)
     degenerate = not target
-    if mode == "paper":
-        if degenerate:
-            raise DegenerateNormalization(
-                f"normalization target vanishes for mu = {mu} at (p, q) = ({hp.p}, {hp.q})"
-            )
-        unknowns = lower + [mu]
-        top_default = None
-    else:
-        unknowns = list(lower)
-        top_default = Fraction(-1, 4) ** d
+    if mode == "paper" and degenerate:
+        raise DegenerateNormalization(
+            f"normalization target vanishes for mu = {mu} at (p, q) = ({hp.p}, {hp.q})"
+        )
     outcome = None
     extra = 0
     for extra in range(_MAX_EXTRA_WINDOW + 1):
-        matrix = []
-        rhs = []
-        for lam in enumerate_hooks(hp, d + extra, "upto"):
-            if lam.contains(mu):
-                continue
-            matrix.append([_basis_value(nu, lam, hp) for nu in unknowns])
-            if mode == "top":
-                rhs.append(-top_default * _basis_value(mu, lam, hp))
-            else:
-                rhs.append(Fraction(0))
-        if mode == "paper":
-            matrix.append([_basis_value(nu, mu, hp) for nu in unknowns])
-            rhs.append(target)
+        unknowns, matrix, rhs = _vanishing_system(mu, hp, mode, extra)
         outcome = solve_exact(matrix, rhs, ncols=len(unknowns))
         if outcome.tag == UNIQUE:
             break
@@ -232,9 +243,10 @@ def interpolation_J(mu: Partition, hp: HookParams, mode: str = "paper") -> Inter
         raise InconsistentSystem(
             f"vanishing conditions never pinned J for mu = {mu} at (p, q) = ({hp.p}, {hp.q})"
         )
+    hooks_d = enumerate_hooks(hp, mu.size, "upto")
     coeffs = dict(zip(unknowns, outcome.solution))
     if mode == "top":
-        coeffs[mu] = top_default
+        coeffs[mu] = _fixed_top(mu)
     poly = SparsePoly.zero(a_variables(hp))
     for nu in hooks_d:
         c = coeffs.get(nu, Fraction(0))

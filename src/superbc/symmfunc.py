@@ -374,18 +374,22 @@ def save_jack_cache(path) -> None:
 def load_jack_cache(path) -> int:
     """Merge a persisted cache; returns the number of entries loaded.  The
     whole file is parsed before anything is merged, so a file that fails to
-    parse leaves the in-memory cache untouched."""
+    parse, or is valid JSON of another shape, raises ValueError and leaves
+    the in-memory cache untouched."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     loaded = []
-    for entry in data.get("entries", []):
-        lam = Partition.parse(entry["partition"])
-        theta = THETA if entry["theta"] == "generic" else Fraction(entry["theta"])
-        m_vec = {
-            Partition.parse(t["partition"]): _scalar_from_json(t["coefficient"])
-            for t in entry["m"]
-        }
-        loaded.append(((lam.parts, theta), m_vec))
+    try:
+        for entry in data.get("entries", []):
+            lam = Partition.parse(entry["partition"])
+            theta = THETA if entry["theta"] == "generic" else Fraction(entry["theta"])
+            m_vec = {
+                Partition.parse(t["partition"]): _scalar_from_json(t["coefficient"])
+                for t in entry["m"]
+            }
+            loaded.append(((lam.parts, theta), m_vec))
+    except (AttributeError, KeyError, TypeError) as err:
+        raise ValueError(f"unexpected layout ({type(err).__name__}: {err})") from err
     with _jack_lock:
         for key, m_vec in loaded:
             _jack_cache.setdefault(key, m_vec)

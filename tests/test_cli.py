@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from superbc.cli import run
 from superbc.exactalg import SparsePoly
 from superbc.interpbc import interpolation_J
@@ -39,6 +41,18 @@ def test_jack_text(capsys):
     code, out = invoke(capsys, "jack", "--mu", "2", "--theta", "1")
     assert code == 0
     assert out.strip() == "P[2](theta=1) = 1/2*p[2] + 1/2*p[1,1]"
+
+
+def test_negative_rational_theta_after_a_space(capsys):
+    # argparse alone takes "-1/2" for an option and exits 2
+    for args in (("jack", "--mu", "2"), ("superjack", "--mu", "2", "--p", "2", "--q", "1")):
+        for fmt in ("text", "structured"):
+            glued = invoke(capsys, *args, "--theta=-1/2", "--format", fmt)
+            spaced = invoke(capsys, *args, "--theta", "-1/2", "--format", fmt)
+            assert spaced == glued
+            assert glued[0] == 0
+    code, out = invoke(capsys, "jack", "--mu", "2", "--theta", "-1/2")
+    assert out.strip() == "P[2](theta=-1/2) = 2*p[2] - p[1,1]"
 
 
 def test_grid_text(capsys):
@@ -174,6 +188,20 @@ def test_cache_file_failing_to_parse_is_ignored_whole(tmp_path):
     assert out.returncode == fresh.returncode == 0
     assert out.stdout == fresh.stdout
     assert out.stderr.startswith("warning:")
+
+
+@pytest.mark.parametrize(
+    "content", ["[]", '{"format": 1, "entries": [{"partition": "2"}]}'], ids=["list", "no-theta"]
+)
+def test_cache_file_of_the_wrong_shape_is_ignored(tmp_path, content):
+    path = tmp_path / "cache.json"
+    path.write_text(content)
+    args = ("jack", "--mu", "2", "--theta", "1")
+    fresh = spawn(*args)
+    out = spawn(*args, "--cache", str(path))
+    assert out.returncode == fresh.returncode == 0
+    assert out.stdout == fresh.stdout
+    assert out.stderr.startswith("warning:") and len(out.stderr.splitlines()) == 1
 
 
 def test_version_flag():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,55 @@ def test_evaluate_and_degree():
     assert f.homogeneous_part(1).is_zero()
 
 
+def _evaluate_by_terms(f, values):
+    """Reference: the term-by-term sum in exact scalar arithmetic."""
+    total = Fraction(0)
+    for exps, c in f.terms.items():
+        term = c
+        for v, e in zip(values, exps):
+            term = term * Fraction(v) ** e
+        total = total + term
+    return total
+
+
+_points = st.tuples(*[st.integers(min_value=-6, max_value=6)] * 2)
+
+
+@given(sparse_polys(max_exp=5, max_terms=8), _points)
+def test_evaluate_at_integer_points_matches_term_sum(f, point):
+    for values in (point, (0, 0), (point[0], 0), (-abs(point[0]), -abs(point[1]))):
+        got = f.evaluate(values)
+        assert type(got) is Fraction
+        assert got == _evaluate_by_terms(f, values)
+
+
+@given(sparse_polys(max_exp=4), st.tuples(rationals, rationals))
+def test_evaluate_at_rational_points_matches_term_sum(f, point):
+    assert f.evaluate(point) == _evaluate_by_terms(f, point)
+
+
+@given(sparse_polys(max_exp=4), _points)
+def test_evaluate_with_function_coefficients_matches_term_sum(f, point):
+    g = SparsePoly(f.vars, {e: c * THETA + 1 for e, c in f.terms.items()})
+    got = g.evaluate(point)
+    assert got == _evaluate_by_terms(g, point)
+    if any(not c.is_constant() for c in g.terms.values()):
+        assert isinstance(got, RatFunc)
+
+
+def test_evaluate_squared_basis_at_grid_points():
+    from superbc.interpbc import _sp_squared, grid_point
+    from superbc.partitions import HookParams, enumerate_hooks
+
+    hp = HookParams(2, 1)
+    hooks = enumerate_hooks(hp, 4, "upto")
+    for nu in hooks:
+        f = _sp_squared(nu, hp)
+        for lam in hooks:
+            coords = grid_point(lam, hp).coords
+            assert f.evaluate(coords) == _evaluate_by_terms(f, coords)
+
+
 # -- exact solving ----------------------------------------------------------
 
 
@@ -188,3 +238,54 @@ def test_solve_over_the_function_field():
     assert out.tag == UNIQUE
     assert out.solution[1] == THETA
     assert out.solution[0] == 1 / THETA
+
+
+def _random_system(rng):
+    """A seeded random rational system, with some rows repeated, rescaled,
+    zero, dependent or contradicting the others."""
+    m, n = rng.randint(0, 6), rng.randint(1, 5)
+
+    def entry():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 4)) if rng.random() < 0.8 else Fraction(0)
+
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    rhs = [entry() for _ in range(m)]
+    for _ in range(rng.randint(0, 3)):
+        if not rows:
+            break
+        kind = rng.choice(("repeat", "rescale", "zero", "dependent", "contradict"))
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+        s = Fraction(rng.choice((-3, -1, 2)), rng.choice((1, 2, 5)))
+        if kind == "repeat":
+            rows.append(list(rows[i]))
+            rhs.append(rhs[i])
+        elif kind == "rescale":
+            rows.append([s * v for v in rows[i]])
+            rhs.append(s * rhs[i])
+        elif kind == "zero":
+            rows.append([Fraction(0)] * n)
+            rhs.append(Fraction(rng.randint(0, 1)))
+        else:
+            rows.append([a + s * b for a, b in zip(rows[i], rows[j])])
+            rhs.append(rhs[i] + s * rhs[j] + (kind == "contradict"))
+    return rows, rhs, n
+
+
+def test_rational_solve_agrees_with_the_function_field_solve():
+    # Constant RatFunc entries take the generic elimination, so it serves as
+    # the oracle for the integer elimination that all-rational systems take.
+    rng = random.Random(20231)
+    tags = set()
+    empty = 0
+    for _ in range(300):
+        rows, rhs, n = _random_system(rng)
+        empty += not rows
+        fast = solve_exact(rows, rhs, ncols=n)
+        lifted = solve_exact(
+            [[RatFunc(v) for v in r] for r in rows], [RatFunc(v) for v in rhs], ncols=n
+        )
+        assert fast == lifted, (rows, rhs)
+        tags.add(fast.tag)
+        for coordinate in (fast.solution or ()) + sum(fast.nullspace or (), ()):
+            assert type(coordinate) is Fraction
+    assert tags == {UNIQUE, INCONSISTENT, UNDERDETERMINED} and empty

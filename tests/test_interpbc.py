@@ -171,6 +171,27 @@ def test_extended_grid_used():
     assert not j.extended_grid_used
 
 
+def test_one_more_window_step_keeps_the_coefficients():
+    from superbc.exactalg import UNIQUE, solve_exact
+    from superbc.interpbc import _vanishing_system
+
+    for hp in (HookParams(2, 1), HookParams(2, 2), HookParams(3, 3)):
+        for mu in enumerate_hooks(hp, 4, "upto"):
+            j = paper_or_top(mu, hp)
+            window = 0
+            while True:
+                unknowns, matrix, rhs = _vanishing_system(mu, hp, j.mode, window)
+                first = solve_exact(matrix, rhs, ncols=len(unknowns))
+                if first.tag == UNIQUE:
+                    break
+                window += 1
+            assert j.extended_grid_used == (window > 0)
+            assert dict(zip(unknowns, first.solution)).items() <= dict(j.coefficients).items()
+            unknowns, matrix, rhs = _vanishing_system(mu, hp, j.mode, window + 1)
+            wider = solve_exact(matrix, rhs, ncols=len(unknowns))
+            assert wider.tag == UNIQUE and wider.solution == first.solution, (hp, mu)
+
+
 def test_vanishing_with_window():
     for hp in PAIRS[:2]:
         for mu in enumerate_hooks(hp, 3, "upto"):
