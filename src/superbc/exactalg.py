@@ -306,8 +306,44 @@ def scalar_text(c) -> str:
     return str(c)
 
 
+def add_terms(pairs, into: dict | None = None) -> dict:
+    """Sum (key, value) pairs into a dict, keeping only the nonzero sums.
+    Every sparse linear combination in the package is built by this one
+    loop; `into` is updated in place when given, else a new dict is made."""
+    out = {} if into is None else into
+    get = out.get
+    for key, value in pairs:
+        acc = get(key)
+        s = value if acc is None else acc + value
+        if s:
+            out[key] = s
+        elif acc is not None:
+            del out[key]
+    return out
+
+
+def _common_denominator(values) -> tuple:
+    """Fractions as integer numerators over the lcm of their denominators:
+    (numerators, lcm)."""
+    den = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
 # ---------------------------------------------------------------------------
 # sparse multivariate polynomials
+
+
+def _checked_terms(vars_t: tuple, terms: Mapping):
+    """The (exponent vector, scalar) pairs of a term mapping, validated."""
+    for exps, c in terms.items():
+        exps = tuple(int(e) for e in exps)
+        if len(exps) != len(vars_t):
+            raise VariableMismatch(
+                f"exponent vector {exps!r} does not match {len(vars_t)} variables"
+            )
+        if any(e < 0 for e in exps):
+            raise ValueError(f"negative exponent in {exps!r}")
+        yield exps, as_scalar(c)
 
 
 class SparsePoly:
@@ -324,25 +360,8 @@ class SparsePoly:
         vars_t = tuple(variables)
         if len(set(vars_t)) != len(vars_t):
             raise VariableMismatch(f"duplicate variable names: {vars_t!r}")
-        clean: dict = {}
-        for exps, c in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != len(vars_t):
-                raise VariableMismatch(
-                    f"exponent vector {exps!r} does not match {len(vars_t)} variables"
-                )
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps!r}")
-            c = as_scalar(c)
-            if c:
-                acc = clean.get(exps)
-                s = c if acc is None else acc + c
-                if s:
-                    clean[exps] = s
-                else:
-                    clean.pop(exps, None)
         self.vars = vars_t
-        self.terms = clean
+        self.terms = add_terms(_checked_terms(vars_t, terms or {}))
 
     @classmethod
     def _raw(cls, vars_t: tuple, terms: dict) -> "SparsePoly":
@@ -371,6 +390,16 @@ class SparsePoly:
         exps = tuple(1 if v == name else 0 for v in vars_t)
         return cls._raw(vars_t, {exps: _ONE})
 
+    @classmethod
+    def linear_combination(cls, variables: Sequence[str], pairs) -> "SparsePoly":
+        """Sum of c * f over (f, c) pairs of polynomials in `variables` and
+        exact scalars."""
+        out = cls.zero(variables)
+        for f, c in pairs:
+            out._check_same(f)
+            add_terms(((e, v * c) for e, v in f.terms.items()), out.terms)
+        return out
+
     def _check_same(self, other: "SparsePoly") -> None:
         if self.vars != other.vars:
             raise VariableMismatch(f"variable lists differ: {self.vars!r} vs {other.vars!r}")
@@ -378,14 +407,7 @@ class SparsePoly:
     def __add__(self, other):
         if isinstance(other, SparsePoly):
             self._check_same(other)
-            out = dict(self.terms)
-            for e, c in other.terms.items():
-                s = out.get(e, _ZERO) + c
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-            return SparsePoly._raw(self.vars, out)
+            return SparsePoly._raw(self.vars, add_terms(other.terms.items(), dict(self.terms)))
         try:
             c = as_scalar(other)
         except TypeError:
@@ -407,16 +429,11 @@ class SparsePoly:
     def __mul__(self, other):
         if isinstance(other, SparsePoly):
             self._check_same(other)
-            out: dict = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    s = out.get(e, _ZERO) + c1 * c2
-                    if s:
-                        out[e] = s
-                    else:
-                        out.pop(e, None)
-            return SparsePoly._raw(self.vars, out)
+            return SparsePoly._raw(self.vars, add_terms(
+                (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                for e1, c1 in self.terms.items()
+                for e2, c2 in other.terms.items()
+            ))
         try:
             c = as_scalar(other)
         except TypeError:
@@ -462,38 +479,30 @@ class SparsePoly:
     def evaluate(self, values: Sequence) -> Scalar:
         """Evaluate at a full assignment of exact scalars.
 
-        At an integer point of a polynomial with rational coefficients the
-        sum runs in Python integers over the common denominator of the
-        coefficients, with one power table per variable, and is reduced
-        once at the end."""
+        One loop over the terms reads one power table per variable, built
+        for the call.  When every coefficient is rational the loop sums
+        their integer numerators over the common denominator and divides
+        once at the end; integer coordinates enter the tables as Python
+        integers, so at an integer point the whole sum runs in integers."""
         if len(values) != len(self.vars):
             raise VariableMismatch(f"expected {len(self.vars)} values, got {len(values)}")
-        vals = [as_scalar(v) for v in values]
+        points = [
+            v.numerator if isinstance(v, Fraction) and v.denominator == 1 else v
+            for v in map(as_scalar, values)
+        ]
         terms = self.terms
-        if all(isinstance(v, Fraction) and v.denominator == 1 for v in vals) and all(
-            isinstance(c, Fraction) for c in terms.values()
-        ):
-            den = lcm(*(c.denominator for c in terms.values()))
-            tables = [
-                [v.numerator**k for k in range(top + 1)]
-                for v, top in zip(vals, map(max, zip(*terms)))
-            ]
-            acc = 0
-            for exps, c in terms.items():
-                term = c.numerator * (den // c.denominator)
-                for table, e in zip(tables, exps):
-                    if e:
-                        term *= table[e]
-                acc += term
-            return Fraction(acc, den)
-        total: Scalar = _ZERO
-        for exps, c in self.terms.items():
-            term = c
-            for v, e in zip(vals, exps):
+        coeffs, den = terms.values(), 1
+        if all(isinstance(c, Fraction) for c in coeffs):
+            coeffs, den = _common_denominator(coeffs)
+        tables = [[v**k for k in range(top + 1)] for v, top in zip(points, map(max, zip(*terms)))]
+        total = 0
+        for exps, c in zip(terms, coeffs):
+            for table, e in zip(tables, exps):
                 if e:
-                    term = term * v**e
-            total = total + term
-        return total
+                    c = c * table[e]
+            total = total + c
+        total = as_scalar(total)
+        return total if den == 1 else total / den
 
     def substitute(self, assignment: Mapping) -> "SparsePoly":
         """Compose with polynomial or scalar images of selected variables.
@@ -529,7 +538,7 @@ class SparsePoly:
             else:
                 img = SparsePoly.variable(tvars, name)
             images.append(img)
-        out = SparsePoly._raw(tvars, {})
+        out: dict = {}
         pow_cache: dict = {}
         for exps, c in self.terms.items():
             term = SparsePoly.constant(tvars, c)
@@ -541,8 +550,8 @@ class SparsePoly:
                         pw = images[i] ** e
                         pow_cache[key] = pw
                     term = term * pw
-            out = out + term
-        return out
+            add_terms(term.terms.items(), out)
+        return SparsePoly._raw(tvars, out)
 
     def sorted_terms(self) -> list:
         """Terms in descending graded lexicographic order."""
@@ -609,12 +618,6 @@ class LinearSolveOutcome:
     nullspace: tuple | None = None
 
 
-def _integer_row(row) -> tuple:
-    """A row of Fractions scaled to integers by the lcm of its denominators."""
-    scale = lcm(*(v.denominator for v in row))
-    return tuple(v.numerator * (scale // v.denominator) for v in row)
-
-
 def solve_exact(matrix: Sequence[Sequence], rhs: Sequence, ncols: int | None = None) -> LinearSolveOutcome:
     """Classify and solve A x = b over the exact scalars.
 
@@ -644,7 +647,7 @@ def solve_exact(matrix: Sequence[Sequence], rhs: Sequence, ncols: int | None = N
         n = ncols or 0
     aug = [rows[i] + [b[i]] for i in range(m)]
     if all(isinstance(v, Fraction) for row in aug for v in row):
-        aug = [list(row) for row in dict.fromkeys(map(_integer_row, aug))]
+        aug = [list(row) for row in dict.fromkeys(_common_denominator(row)[0] for row in aug)]
         exact = operator.floordiv
     else:
         exact = operator.truediv

@@ -247,11 +247,9 @@ def interpolation_J(mu: Partition, hp: HookParams, mode: str = "paper") -> Inter
     coeffs = dict(zip(unknowns, outcome.solution))
     if mode == "top":
         coeffs[mu] = _fixed_top(mu)
-    poly = SparsePoly.zero(a_variables(hp))
-    for nu in hooks_d:
-        c = coeffs.get(nu, Fraction(0))
-        if c:
-            poly = poly + _sp_squared(nu, hp) * c
+    poly = SparsePoly.linear_combination(
+        a_variables(hp), ((_sp_squared(nu, hp), c) for nu, c in coeffs.items() if c)
+    )
     return InterpolationResult(
         mu=mu,
         hp=hp,
@@ -374,7 +372,6 @@ class ConstantsRow:
     k_derived: Fraction
     k_hook: Fraction
     top_claimed: Fraction
-    consistent: bool
     matches_k_hook: bool
     matches_top_claimed: bool
 
@@ -401,7 +398,6 @@ def constants_ledger(hp: HookParams, max_size: int) -> tuple:
                 k_derived=k_derived,
                 k_hook=k_mu(mu),
                 top_claimed=Fraction(-1, 2) ** mu.size,
-                consistent=(k_derived * t * 2**mu.size == e),
                 matches_k_hook=(k_derived == k_mu(mu)),
                 matches_top_claimed=(t == Fraction(-1, 2) ** mu.size),
             )

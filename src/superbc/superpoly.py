@@ -72,10 +72,11 @@ def phi_theta(f: SymFun, hp: HookParams, theta) -> SparsePoly:
     theta = as_scalar(theta)
     if not theta:
         raise ZeroTheta("theta must be nonzero")
-    out = SparsePoly.zero(a_variables(hp))
-    for lam, c in sorted(f.coeffs.items(), key=lambda kv: sort_key(kv[0])):
-        out = out + _phi_product(lam.parts, hp, theta) * c
-    return out
+    return SparsePoly.linear_combination(
+        a_variables(hp),
+        ((_phi_product(lam.parts, hp, theta), c)
+         for lam, c in sorted(f.coeffs.items(), key=lambda kv: sort_key(kv[0]))),
+    )
 
 
 @lru_cache(maxsize=None)

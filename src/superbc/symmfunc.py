@@ -9,16 +9,18 @@ is reached through exact transition tables built once per degree.
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from threading import Lock
+from threading import Lock, get_ident
 
 from superbc.exactalg import (
     RatFunc,
     THETA,
     SparsePoly,
     UNIQUE,
+    add_terms,
     as_scalar,
     solve_exact,
 )
@@ -36,14 +38,10 @@ class SymFun:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        clean = {}
-        for lam, c in (coeffs or {}).items():
-            if not isinstance(lam, Partition):
-                lam = Partition(tuple(lam))
-            c = as_scalar(c)
-            if c:
-                clean[lam] = c
-        self.coeffs = clean
+        self.coeffs = add_terms(
+            (lam if isinstance(lam, Partition) else Partition(tuple(lam)), as_scalar(c))
+            for lam, c in (coeffs or {}).items()
+        )
 
     @classmethod
     def zero(cls) -> "SymFun":
@@ -63,44 +61,24 @@ class SymFun:
     @classmethod
     def from_m(cls, coeffs) -> "SymFun":
         """Build from monomial-basis coefficients."""
-        acc: dict = {}
-        for lam, c in coeffs.items():
-            if not isinstance(lam, Partition):
-                lam = Partition(tuple(lam))
-            c = as_scalar(c)
-            if not c:
-                continue
-            for mu, t in _m_to_p_table(lam.size)[lam].items():
-                s = acc.get(mu, Fraction(0)) + c * t
-                if s:
-                    acc[mu] = s
-                else:
-                    acc.pop(mu, None)
-        return cls(acc)
+        return cls(add_terms(
+            (mu, c * t)
+            for lam, c in cls(coeffs).coeffs.items()
+            for mu, t in _m_to_p_table(lam.size)[lam].items()
+        ))
 
     def to_m(self) -> dict:
         """Monomial-basis coefficients."""
-        acc: dict = {}
-        for mu, c in self.coeffs.items():
-            for lam, t in _p_to_m_expansion(mu.parts).items():
-                s = acc.get(lam, Fraction(0)) + c * t
-                if s:
-                    acc[lam] = s
-                else:
-                    acc.pop(lam, None)
-        return acc
+        return add_terms(
+            (lam, c * t)
+            for mu, c in self.coeffs.items()
+            for lam, t in _p_to_m_expansion(mu.parts).items()
+        )
 
     def __add__(self, other):
         if not isinstance(other, SymFun):
             return NotImplemented
-        out = dict(self.coeffs)
-        for lam, c in other.coeffs.items():
-            s = out.get(lam, Fraction(0)) + c
-            if s:
-                out[lam] = s
-            else:
-                out.pop(lam, None)
-        return SymFun(out)
+        return SymFun(add_terms(other.coeffs.items(), dict(self.coeffs)))
 
     def __neg__(self):
         return SymFun({lam: -c for lam, c in self.coeffs.items()})
@@ -112,16 +90,11 @@ class SymFun:
 
     def __mul__(self, other):
         if isinstance(other, SymFun):
-            out: dict = {}
-            for a, ca in self.coeffs.items():
-                for b, cb in other.coeffs.items():
-                    merged = Partition(tuple(sorted(a.parts + b.parts, reverse=True)))
-                    s = out.get(merged, Fraction(0)) + ca * cb
-                    if s:
-                        out[merged] = s
-                    else:
-                        out.pop(merged, None)
-            return SymFun(out)
+            return SymFun(add_terms(
+                (Partition(tuple(sorted(a.parts + b.parts, reverse=True))), ca * cb)
+                for a, ca in self.coeffs.items()
+                for b, cb in other.coeffs.items()
+            ))
         try:
             c = as_scalar(other)
         except TypeError:
@@ -205,11 +178,7 @@ def _p_to_m_expansion(parts: tuple) -> dict:
     """Monomial-basis coefficients of the power-sum product p_parts."""
     acc: dict = {(): 1}
     for r in parts:
-        nxt: dict = {}
-        for mu, c in acc.items():
-            for nu, k in _p_step(r, mu):
-                nxt[nu] = nxt.get(nu, 0) + c * k
-        acc = nxt
+        acc = add_terms((nu, c * k) for mu, c in acc.items() for nu, k in _p_step(r, mu))
     return {Partition(mu): Fraction(c) for mu, c in acc.items()}
 
 
@@ -298,21 +267,12 @@ def jack_m_coeffs(lam: Partition, theta=THETA) -> dict:
         m_vec = {nu: Fraction(1)}
         p_vec = dict(to_p[nu])
         for prev_m, prev_p, prev_norm in done:
-            c = _inner_p_dicts(to_p[nu], prev_p, theta) / prev_norm
+            # minus the projection coefficient onto the earlier vector
+            c = -_inner_p_dicts(to_p[nu], prev_p, theta) / prev_norm
             if not c:
                 continue
-            for key2, val in prev_m.items():
-                s = m_vec.get(key2, Fraction(0)) - c * val
-                if s:
-                    m_vec[key2] = s
-                else:
-                    m_vec.pop(key2, None)
-            for key2, val in prev_p.items():
-                s = p_vec.get(key2, Fraction(0)) - c * val
-                if s:
-                    p_vec[key2] = s
-                else:
-                    p_vec.pop(key2, None)
+            add_terms(((key2, c * val) for key2, val in prev_m.items()), m_vec)
+            add_terms(((key2, c * val) for key2, val in prev_p.items()), p_vec)
         norm = _inner_p_dicts(p_vec, p_vec, theta)
         if not norm:
             raise DegenerateParameter(
@@ -343,10 +303,20 @@ def _scalar_to_json(c):
     return str(c)
 
 
+def _text(v) -> str:
+    """A cache field that the saved format writes as a string; a JSON number
+    here would bring a float into the package."""
+    if not isinstance(v, str):
+        raise ValueError(f"expected a string, got {v!r}")
+    return v
+
+
 def _scalar_from_json(obj):
     if isinstance(obj, dict):
-        return RatFunc([Fraction(v) for v in obj["num"]], [Fraction(v) for v in obj["den"]])
-    return Fraction(obj)
+        return RatFunc(
+            [Fraction(_text(v)) for v in obj["num"]], [Fraction(_text(v)) for v in obj["den"]]
+        )
+    return Fraction(_text(obj))
 
 
 def save_jack_cache(path) -> None:
@@ -367,24 +337,35 @@ def save_jack_cache(path) -> None:
                     ],
                 }
             )
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"format": 1, "entries": entries}, fh, sort_keys=True)
+    # Write a file beside the target, named for this process and thread, and
+    # rename it over the target, so a failed or concurrent save never leaves
+    # a truncated cache behind.
+    tmp = f"{os.fspath(path)}.{os.getpid()}.{get_ident()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump({"format": 1, "entries": entries}, fh, sort_keys=True)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load_jack_cache(path) -> int:
     """Merge a persisted cache; returns the number of entries loaded.  The
     whole file is parsed before anything is merged, so a file that fails to
-    parse, or is valid JSON of another shape, raises ValueError and leaves
-    the in-memory cache untouched."""
+    parse, or is valid JSON of another shape (a number where the format has
+    a string, for one), raises ValueError and leaves the in-memory cache
+    untouched."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     loaded = []
     try:
         for entry in data.get("entries", []):
-            lam = Partition.parse(entry["partition"])
-            theta = THETA if entry["theta"] == "generic" else Fraction(entry["theta"])
+            lam = Partition.parse(_text(entry["partition"]))
+            theta = _text(entry["theta"])
+            theta = THETA if theta == "generic" else Fraction(theta)
             m_vec = {
-                Partition.parse(t["partition"]): _scalar_from_json(t["coefficient"])
+                Partition.parse(_text(t["partition"])): _scalar_from_json(t["coefficient"])
                 for t in entry["m"]
             }
             loaded.append(((lam.parts, theta), m_vec))

@@ -273,9 +273,10 @@ def test_criterion_10_constants_ledger():
     lines = []
     for hp in PAIRS:
         for row in constants_ledger(hp, 3):
-            if not row.consistent:
-                ok = False
-            if row.k_derived * row.top_coefficient * 2**row.mu.size != row.expansion_coefficient:
+            # the degree-2|mu| part of k~ J_mu is 2^{-|mu|} e_mu SP_mu(x^2, y^2)
+            top = (paper_or_top(row.mu, hp).poly * row.k_derived).homogeneous_part(2 * row.mu.size)
+            sp = squared_substitution(super_jack(row.mu, hp, ONE), hp)
+            if top != sp * (Fraction(1, 2) ** row.mu.size * row.expansion_coefficient):
                 ok = False
             lines.append(
                 f"(p={hp.p},q={hp.q}) mu=({row.mu}) e={row.expansion_coefficient} "

@@ -190,8 +190,16 @@ def test_cache_file_failing_to_parse_is_ignored_whole(tmp_path):
     assert out.stderr.startswith("warning:")
 
 
+_FLOAT_COEFFICIENT = json.dumps({"format": 1, "entries": [{
+    "partition": "2", "theta": "1",
+    "m": [{"partition": "2", "coefficient": "1"}, {"partition": "1,1", "coefficient": 0.5}],
+}]})
+
+
 @pytest.mark.parametrize(
-    "content", ["[]", '{"format": 1, "entries": [{"partition": "2"}]}'], ids=["list", "no-theta"]
+    "content",
+    ["[]", '{"format": 1, "entries": [{"partition": "2"}]}', _FLOAT_COEFFICIENT],
+    ids=["list", "no-theta", "number-coefficient"],
 )
 def test_cache_file_of_the_wrong_shape_is_ignored(tmp_path, content):
     path = tmp_path / "cache.json"

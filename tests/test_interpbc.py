@@ -331,10 +331,16 @@ def test_derive_k_examples():
 
 
 def test_constants_ledger_consistency():
+    # The degree-2|mu| part of k~ J_mu is 2^{-|mu|} e_mu SP_mu(x^2, y^2): the
+    # ledger's k~ and e_mu must agree with the assembled polynomial J_mu.
+    from superbc.interpbc import _sp_squared
+
     for hp in PAIRS[:2]:
         for row in constants_ledger(hp, 2):
-            assert row.consistent
-            assert row.k_derived * row.top_coefficient * 2**row.mu.size == row.expansion_coefficient
+            j = paper_or_top(row.mu, hp).poly
+            top = (j * row.k_derived).homogeneous_part(2 * row.mu.size)
+            scale = Fraction(1, 2) ** row.mu.size * row.expansion_coefficient
+            assert top == _sp_squared(row.mu, hp) * scale
 
 
 # -- verification suites ------------------------------------------------------------

@@ -1,3 +1,5 @@
+import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -118,6 +120,29 @@ def test_jack_cache_concurrent_reads():
     with ThreadPoolExecutor(max_workers=4) as pool:
         results = list(pool.map(lambda _: jack_P(lam, ONE), range(8)))
     assert all(r == results[0] for r in results)
+
+
+def test_symfun_sums_duplicate_keys():
+    # (2,1) and (2,1,0) name one partition, so their coefficients add up
+    assert SymFun({(2, 1): 1, (2, 1, 0): 1}) == SymFun({(2, 1): 2})
+    assert SymFun({(2, 1): 1, (2, 1, 0): -1}) == SymFun.zero()
+
+
+def test_failed_cache_save_leaves_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "jack.json"
+    jack_P(P(2), ONE)
+    save_jack_cache(path)
+    before = path.read_bytes()
+
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write('{"format": 1, "entr')
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    with pytest.raises(OSError):
+        save_jack_cache(path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["jack.json"]
 
 
 def test_symfun_algebra():
