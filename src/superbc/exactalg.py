@@ -169,27 +169,46 @@ class RatFunc:
         return cls((0, 1))
 
     @classmethod
+    def _reduced(cls, num: tuple, den: tuple) -> "RatFunc":
+        """Wrap a numerator and a monic denominator already in lowest terms."""
+        out = cls.__new__(cls)
+        out.num = num
+        out.den = den
+        return out
+
+    @classmethod
     def _coerce(cls, v):
         if isinstance(v, RatFunc):
             return v
         if isinstance(v, (int, Fraction)):
-            return cls(v)
+            return cls._reduced(_ptrim((Fraction(v),)), (_ONE,))
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        num = _padd(_pmul(self.num, o.den), _pmul(o.num, self.den))
-        return RatFunc(num, _pmul(self.den, o.den))
+        # Henrici: with g = gcd(b, d), a/b + c/d = (a d' + c b') / (g b' d')
+        # for b = g b' and d = g d'.  As both operands are reduced, a common
+        # factor of that numerator and denominator divides g, so one gcd
+        # with g reduces the sum, and none is needed when g = 1.
+        g = _pgcd(self.den, o.den)
+        b1, d1 = self.den, o.den
+        if len(g) > 1:
+            b1, d1 = _pdivmod(b1, g)[0], _pdivmod(d1, g)[0]
+        num = _padd(_pmul(self.num, d1), _pmul(o.num, b1))
+        if not num:
+            return RatFunc._reduced((), (_ONE,))
+        if len(g) > 1:
+            common = _pgcd(num, g)
+            if len(common) > 1:
+                num, g = _pdivmod(num, common)[0], _pdivmod(g, common)[0]
+        return RatFunc._reduced(num, _pmul(_pmul(b1, d1), g))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = RatFunc.__new__(RatFunc)
-        out.num = _pneg(self.num)
-        out.den = self.den
-        return out
+        return RatFunc._reduced(_pneg(self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -207,7 +226,24 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFunc(_pmul(self.num, o.num), _pmul(self.den, o.den))
+        if o.is_constant() or self.is_constant():
+            # zero is constant; scaling by a nonzero constant keeps num and
+            # den coprime
+            const, other = (o, self) if o.is_constant() else (self, o)
+            if not const.num:
+                return const
+            return RatFunc._reduced(tuple(c * const.num[0] for c in other.num), other.den)
+        # Henrici: as both operands are reduced, (a/b)(c/d) is reduced once
+        # gcd(a, d) and gcd(c, b) are cancelled; monic factors leave the
+        # denominator monic
+        a, b, c, d = self.num, self.den, o.num, o.den
+        g = _pgcd(a, d)
+        if len(g) > 1:
+            a, d = _pdivmod(a, g)[0], _pdivmod(d, g)[0]
+        g = _pgcd(c, b)
+        if len(g) > 1:
+            c, b = _pdivmod(c, g)[0], _pdivmod(b, g)[0]
+        return RatFunc._reduced(_pmul(a, c), _pmul(b, d))
 
     __rmul__ = __mul__
 
@@ -336,7 +372,9 @@ def _common_denominator(values) -> tuple:
 def _checked_terms(vars_t: tuple, terms: Mapping):
     """The (exponent vector, scalar) pairs of a term mapping, validated."""
     for exps, c in terms.items():
-        exps = tuple(int(e) for e in exps)
+        if not all(isinstance(e, int) for e in exps):
+            raise ValueError(f"non-integer exponent in {exps!r}")
+        exps = tuple(exps)
         if len(exps) != len(vars_t):
             raise VariableMismatch(
                 f"exponent vector {exps!r} does not match {len(vars_t)} variables"

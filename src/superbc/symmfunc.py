@@ -16,10 +16,12 @@ from itertools import permutations
 from threading import Lock, get_ident
 
 from superbc.exactalg import (
+    PoleError,
     RatFunc,
     THETA,
     SparsePoly,
     UNIQUE,
+    _peval,
     add_terms,
     as_scalar,
     solve_exact,
@@ -28,8 +30,7 @@ from superbc.partitions import Partition, partitions_of, sort_key
 
 
 class DegenerateParameter(ArithmeticError):
-    """The deformation parameter hits a vanishing orthogonalization
-    denominator."""
+    """The deformation parameter is 0, or a pole of a Jack coefficient."""
 
 
 class SymFun:
@@ -224,13 +225,9 @@ def jack_inner(f: SymFun, g: SymFun, theta):
     theta = as_scalar(theta)
     if not theta:
         raise DegenerateParameter("theta = 0 degenerates the inner product")
-    return _inner_p_dicts(f.coeffs, g.coeffs, theta)
-
-
-def _inner_p_dicts(a: dict, b: dict, theta):
     total = Fraction(0)
-    for lam, ca in a.items():
-        cb = b.get(lam)
+    for lam, ca in f.coeffs.items():
+        cb = g.coeffs.get(lam)
         if cb:
             total = total + ca * cb * z_lambda(lam) * theta ** (-lam.length)
     return total
@@ -245,13 +242,72 @@ def clear_jack_cache() -> None:
         _jack_cache.clear()
 
 
-def jack_m_coeffs(lam: Partition, theta=THETA) -> dict:
-    """Monomial-basis expansion of P_lam at the given parameter.
+def _rho(parts: tuple) -> tuple:
+    """Laplace-Beltrami eigenvalue sum mu_i (mu_i - 1) - 2 theta sum (i - 1) mu_i,
+    as its two coefficients in theta."""
+    return sum(v * (v - 1) for v in parts), -2 * sum(i * v for i, v in enumerate(parts))
 
-    Gram-Schmidt against the already-built family, processed in a linear
-    extension of dominance from the bottom up; the result is monic on m_lam
-    and supported on dominance-lower partitions.
-    """
+
+@lru_cache(maxsize=None)
+def _jack_integral(parts: tuple) -> tuple:
+    """(c_lam, {mu: v_mu}) with c_lam = prod over boxes of a(s) + theta (l(s) + 1)
+    and v_mu = c_lam [m_mu] P_lam, as integer coefficient tuples in theta,
+    lowest degree first.
+
+    c_lam P_lam is Knop-Sahi's integral Jack in theta, so every v_mu is a
+    polynomial with integer coefficients, and Stanley's Laplace-Beltrami
+    recurrence finds them in dominance order from the top: (rho_lam -
+    rho_mu) v_mu is 2 theta times the sum of (mu_i - mu_j + 2t) v_nu over
+    i < j, 1 <= t <= mu_j and nu = mu with mu_i + t and mu_j - t, sorted.
+    rho_lam - rho_mu is linear with theta-coefficient 2 (n(mu) - n(lam)) > 0
+    below lam, and each quotient is integral, so the division runs in
+    integers from the top coefficient down."""
+    lam = Partition(parts)
+    cols = lam.transpose()
+    c_lam = (1,)
+    for i, j in lam.boxes():
+        a, b = lam.part(i) - j, cols.part(j) - i + 1
+        # times a + b theta
+        c_lam = tuple(a * x + b * y for x, y in zip(c_lam + (0,), (0,) + c_lam))
+    r0, r1 = _rho(parts)
+    v = {parts: c_lam}
+    # partitions_of lists every nu above mu in dominance before mu
+    for mu in partitions_of(lam.size):
+        if mu == lam or not lam.dominates(mu):
+            continue
+        m = mu.parts
+        # num = 2 theta sum (mu_i - mu_j + 2t) v_nu
+        num = [0] * (len(c_lam) + 1)
+        for j in range(1, len(m)):
+            for i in range(j):
+                for t in range(1, m[j] + 1):
+                    nu = list(m)
+                    nu[i] += t
+                    nu[j] -= t
+                    v_nu = v.get(tuple(sorted((x for x in nu if x), reverse=True)))
+                    if v_nu:
+                        w = 2 * (m[i] - m[j] + 2 * t)
+                        for k, x in enumerate(v_nu, start=1):
+                            num[k] += w * x
+        s0, s1 = _rho(m)
+        d0, d1 = r0 - s0, r1 - s1
+        # divide by d0 + d1 theta, leaving each step's remainder in num
+        quot = [0] * len(c_lam)
+        for k in range(len(c_lam), 0, -1):
+            quot[k - 1], num[k] = divmod(num[k], d1)
+            num[k - 1] -= quot[k - 1] * d0
+        if any(num):
+            raise ArithmeticError(f"Jack recurrence division is not exact at {lam}, {mu}")
+        if any(quot):
+            v[m] = tuple(quot)
+    return c_lam, v
+
+
+def jack_m_coeffs(lam: Partition, theta=THETA) -> dict:
+    """Monomial-basis expansion of P_lam at the given parameter: v_mu / c_lam
+    from `_jack_integral`, as a rational function at the formal parameter
+    and by substitution at any other one.  P_lam is monic on m_lam and
+    supported on dominance-lower partitions."""
     theta = as_scalar(theta)
     if not theta:
         raise DegenerateParameter("theta = 0 is a degenerate Jack parameter")
@@ -259,32 +315,25 @@ def jack_m_coeffs(lam: Partition, theta=THETA) -> dict:
     hit = _jack_cache.get(key)
     if hit is not None:
         return dict(hit)
-    d = lam.size
-    to_p = _m_to_p_table(d)
-    done: list[tuple[dict, dict, object]] = []  # (m-coeffs, p-coeffs, norm)
-    result: dict | None = None
-    for nu in reversed(partitions_of(d)):
-        m_vec = {nu: Fraction(1)}
-        p_vec = dict(to_p[nu])
-        for prev_m, prev_p, prev_norm in done:
-            # minus the projection coefficient onto the earlier vector
-            c = -_inner_p_dicts(to_p[nu], prev_p, theta) / prev_norm
-            if not c:
-                continue
-            add_terms(((key2, c * val) for key2, val in prev_m.items()), m_vec)
-            add_terms(((key2, c * val) for key2, val in prev_p.items()), p_vec)
-        norm = _inner_p_dicts(p_vec, p_vec, theta)
-        if not norm:
-            raise DegenerateParameter(
-                f"orthogonalization denominator vanishes at theta = {theta} (degree {d})"
-            )
-        done.append((m_vec, p_vec, norm))
-        with _jack_lock:
-            _jack_cache.setdefault((nu.parts, theta), dict(m_vec))
-        if nu == lam:
-            result = m_vec
-    assert result is not None
-    return dict(result)
+    c_lam, v = _jack_integral(lam.parts)
+    lower = [(Partition(mu), vm) for mu, vm in reversed(v.items()) if mu != lam.parts]
+    if theta == THETA:
+        values = [RatFunc(vm, c_lam) for _, vm in lower]
+    elif den := _peval(c_lam, theta):
+        values = [_peval(vm, theta) / den for _, vm in lower]
+    else:
+        # c_lam vanishes here, so a coefficient is finite only where the
+        # factor cancels; a constant rational function stands for its value
+        point = theta.constant_value() if isinstance(theta, RatFunc) else theta
+        try:
+            values = [RatFunc(vm, c_lam).evaluate(point) for _, vm in lower]
+        except PoleError as err:
+            raise DegenerateParameter(f"P[{lam}] has a pole at theta = {theta}") from err
+    m_vec = {lam: Fraction(1)}
+    m_vec.update((mu, c) for (mu, _), c in zip(lower, values) if c)
+    with _jack_lock:
+        _jack_cache.setdefault(key, dict(m_vec))
+    return m_vec
 
 
 def jack_P(lam: Partition, theta=THETA) -> SymFun:
@@ -303,20 +352,22 @@ def _scalar_to_json(c):
     return str(c)
 
 
-def _text(v) -> str:
-    """A cache field that the saved format writes as a string; a JSON number
-    here would bring a float into the package."""
-    if not isinstance(v, str):
-        raise ValueError(f"expected a string, got {v!r}")
+def _field(v, kind=str):
+    """A cache field that the saved format writes as `kind`: a JSON number
+    where it writes a string would bring a float into the package, and a
+    string where it writes a list would be read one character at a time."""
+    if not isinstance(v, kind):
+        raise ValueError(f"expected a {kind.__name__}, got {v!r}")
     return v
 
 
 def _scalar_from_json(obj):
     if isinstance(obj, dict):
         return RatFunc(
-            [Fraction(_text(v)) for v in obj["num"]], [Fraction(_text(v)) for v in obj["den"]]
+            [Fraction(_field(v)) for v in _field(obj["num"], list)],
+            [Fraction(_field(v)) for v in _field(obj["den"], list)],
         )
-    return Fraction(_text(obj))
+    return Fraction(_field(obj))
 
 
 def save_jack_cache(path) -> None:
@@ -361,11 +412,11 @@ def load_jack_cache(path) -> int:
     loaded = []
     try:
         for entry in data.get("entries", []):
-            lam = Partition.parse(_text(entry["partition"]))
-            theta = _text(entry["theta"])
+            lam = Partition.parse(_field(entry["partition"]))
+            theta = _field(entry["theta"])
             theta = THETA if theta == "generic" else Fraction(theta)
             m_vec = {
-                Partition.parse(_text(t["partition"])): _scalar_from_json(t["coefficient"])
+                Partition.parse(_field(t["partition"])): _scalar_from_json(t["coefficient"])
                 for t in entry["m"]
             }
             loaded.append(((lam.parts, theta), m_vec))

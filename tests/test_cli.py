@@ -196,10 +196,18 @@ _FLOAT_COEFFICIENT = json.dumps({"format": 1, "entries": [{
 }]})
 
 
+# read one character at a time, this numerator would load as 2*theta + 1
+_STRING_NUMERATOR = json.dumps({"format": 1, "entries": [{
+    "partition": "2", "theta": "1",
+    "m": [{"partition": "2", "coefficient": "1"},
+          {"partition": "1,1", "coefficient": {"num": "12", "den": ["1"]}}],
+}]})
+
+
 @pytest.mark.parametrize(
     "content",
-    ["[]", '{"format": 1, "entries": [{"partition": "2"}]}', _FLOAT_COEFFICIENT],
-    ids=["list", "no-theta", "number-coefficient"],
+    ["[]", '{"format": 1, "entries": [{"partition": "2"}]}', _FLOAT_COEFFICIENT, _STRING_NUMERATOR],
+    ids=["list", "no-theta", "number-coefficient", "string-numerator"],
 )
 def test_cache_file_of_the_wrong_shape_is_ignored(tmp_path, content):
     path = tmp_path / "cache.json"
@@ -210,6 +218,14 @@ def test_cache_file_of_the_wrong_shape_is_ignored(tmp_path, content):
     assert out.returncode == fresh.returncode == 0
     assert out.stdout == fresh.stdout
     assert out.stderr.startswith("warning:") and len(out.stderr.splitlines()) == 1
+
+
+def test_jack_at_theta_minus_one(capsys):
+    # P_(1,1) = e_2 has no pole at theta = -1; P_(2) does
+    code, out = invoke(capsys, "jack", "--mu", "1,1", "--theta", "-1")
+    assert code == 0
+    assert out.strip() == "P[1,1](theta=-1) = -1/2*p[2] + 1/2*p[1,1]"
+    assert spawn("jack", "--mu", "2", "--theta", "-1").returncode == 2
 
 
 def test_version_flag():

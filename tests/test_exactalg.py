@@ -14,6 +14,9 @@ from superbc.exactalg import (
     UNDERDETERMINED,
     UNIQUE,
     VariableMismatch,
+    _padd,
+    _pgcd,
+    _pmul,
     poly_substitute,
     scalar_eval,
     solve_exact,
@@ -49,6 +52,38 @@ def test_ratfunc_powers_and_division():
     with pytest.raises(ZeroDivisionError):
         (THETA + 1) / RatFunc(0)
     assert str(2 * THETA / (THETA + 1)) == "(2*theta)/(theta + 1)"
+
+
+def _random_ratfunc(rng):
+    """A seeded random rational function whose denominator is a product of
+    linear factors from a small pool, so that two of them often share a
+    factor and often do not."""
+    num = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randint(0, 4))]
+    den = (Fraction(rng.randint(1, 3)),)
+    for _ in range(rng.randint(0, 3)):
+        den = _pmul(den, (Fraction(rng.choice((-2, -1, 1, 3))), Fraction(1)))
+    return RatFunc(num, den)
+
+
+def test_ratfunc_fast_paths_match_the_general_constructor():
+    # sums and products skip some or all of the gcd work of the
+    # constructor; their results must be its canonical form exactly
+    rng = random.Random(5)
+    shared = coprime = 0
+    for _ in range(400):
+        a, b = _random_ratfunc(rng), _random_ratfunc(rng)
+        if len(_pgcd(a.den, b.den)) > 1:
+            shared += 1
+        else:
+            coprime += 1
+        general = RatFunc(_padd(_pmul(a.num, b.den), _pmul(b.num, a.den)), _pmul(a.den, b.den))
+        total = a + b
+        assert (total.num, total.den) == (general.num, general.den)
+        for c in (b, RatFunc(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))):
+            general = RatFunc(_pmul(a.num, c.num), _pmul(a.den, c.den))
+            for product in (a * c, c * a):
+                assert (product.num, product.den) == (general.num, general.den)
+    assert shared > 50 and coprime > 50
 
 
 @given(scalars, scalars, scalars)
@@ -111,6 +146,14 @@ def test_poly_record_round_trip():
     rec = f.to_record()
     assert rec["variables"] == ["x", "y"]
     assert SparsePoly.from_record(rec) == f
+
+
+def test_non_integer_exponents_are_rejected():
+    with pytest.raises(ValueError):
+        SparsePoly(("x",), {(1.5,): 1})
+    rec = {"variables": ["x"], "terms": [{"exponents": [2.7], "coefficient": {"num": "1", "den": "1"}}]}
+    with pytest.raises(ValueError):
+        SparsePoly.from_record(rec)
 
 
 def test_evaluate_and_degree():

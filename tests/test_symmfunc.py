@@ -1,10 +1,11 @@
 import json
 import os
+import time
 from fractions import Fraction
 
 import pytest
 
-from superbc.exactalg import SparsePoly, THETA
+from superbc.exactalg import PoleError, SparsePoly, THETA, scalar_eval
 from superbc.partitions import Partition, partitions_of
 from superbc.symmfunc import (
     DegenerateParameter,
@@ -13,6 +14,7 @@ from superbc.symmfunc import (
     clear_jack_cache,
     jack_P,
     jack_inner,
+    jack_m_coeffs,
     load_jack_cache,
     monomial_expand,
     save_jack_cache,
@@ -90,6 +92,74 @@ def test_jack_monic_and_dominance_triangular():
             for mu, c in coeffs.items():
                 if c:
                     assert lam.dominates(mu)
+
+
+def test_jack_degree_7_orthogonal_and_triangular():
+    # the defining characterisation, independent of how P_lam is computed:
+    # monic, supported below lam in dominance, and pairwise orthogonal
+    parts = partitions_of(7)
+    jacks = [jack_P(lam, THETA) for lam in parts]
+    for lam, f in zip(parts, jacks):
+        coeffs = f.to_m()
+        assert coeffs[lam] == 1
+        assert all(lam.dominates(mu) for mu in coeffs)
+    for i, f in enumerate(jacks):
+        for g in jacks[i + 1 :]:
+            assert jack_inner(f, g, THETA) == 0
+
+
+def _pole_free_at(coeffs, theta0):
+    try:
+        return {mu: scalar_eval(c, theta0) for mu, c in coeffs.items()}
+    except PoleError:
+        return None
+
+
+@pytest.mark.parametrize("theta0", [ONE, Fraction(1, 2), Fraction(2), Fraction(-1, 2)], ids=str)
+def test_jack_at_a_rational_theta_is_the_generic_jack_substituted(theta0):
+    for d in range(1, 7):
+        for lam in partitions_of(d):
+            expected = _pole_free_at(jack_m_coeffs(lam, THETA), theta0)
+            try:
+                got = jack_m_coeffs(lam, theta0)
+            except DegenerateParameter:
+                # a negative theta may be a pole: see the next test
+                assert theta0 < 0
+                continue
+            assert got == {mu: c for mu, c in expected.items() if c}
+
+
+@pytest.mark.parametrize(
+    "theta0", [Fraction(v) for v in ("-1", "-2", "-1/2", "-1/3", "-2/3", "-3/2")], ids=str
+)
+def test_jack_is_degenerate_exactly_at_a_pole(theta0):
+    for d in range(1, 7):
+        for lam in partitions_of(d):
+            expected = _pole_free_at(jack_m_coeffs(lam, THETA), theta0)
+            if expected is None:
+                with pytest.raises(DegenerateParameter):
+                    jack_m_coeffs(lam, theta0)
+            else:
+                assert jack_m_coeffs(lam, theta0) == {mu: c for mu, c in expected.items() if c}
+
+
+def test_jack_at_theta_minus_one():
+    # P_(1,1) = e_2 at every theta; P_(2) = m_2 + 2 theta/(theta + 1) m_(1,1)
+    # has a pole at -1
+    assert jack_P(P(1, 1), Fraction(-1)) == SymFun.from_m({P(1, 1): 1})
+    with pytest.raises(DegenerateParameter):
+        jack_P(P(2), Fraction(-1))
+
+
+def test_jack_degree_8_generic_is_fast():
+    # all 22 generic P_lam of degree 8 took about half a minute when every
+    # partition of the degree was orthogonalised in rational functions
+    clear_jack_cache()
+    start = time.perf_counter()
+    jacks = [jack_P(lam, THETA) for lam in partitions_of(8)]
+    elapsed = time.perf_counter() - start
+    assert len(jacks) == 22
+    assert elapsed < 5.0
 
 
 def test_degenerate_parameter():
