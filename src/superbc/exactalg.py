@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Mapping, Sequence, Union
 
 _ZERO = Fraction(0)
@@ -77,14 +77,45 @@ def _pdivmod(a: tuple, b: tuple) -> tuple[tuple, tuple]:
     return _ptrim(tuple(q)), _ptrim(tuple(rem))
 
 
+def _primitive(cs) -> list:
+    """Integer primitive part of a nonzero coefficient sequence of Fractions
+    or ints: the denominators cleared and the content divided out."""
+    ints = _common_denominator(cs)[0]
+    g = gcd(*ints)
+    return [v // g for v in ints]
+
+
 def _pgcd(a: tuple, b: tuple) -> tuple:
-    """Monic gcd by Euclid's algorithm."""
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
+    """Monic gcd, by a primitive pseudo-remainder sequence in integers.
+
+    The gcd over Q is the gcd of the integer primitive parts, made monic, so
+    both inputs are first cleared of denominators and content.  Each step
+    replaces (a, b) by b and the primitive part of a constant multiple of
+    a mod b: every cancelling step scales by lc(b)/g, with g the gcd of
+    lc(b) and the coefficient it cancels, so the remainder stays in
+    integers and the content division keeps them small."""
+    if len(a) < len(b):
+        a, b = b, a
     if not a:
         return ()
-    inv = 1 / a[-1]
-    return tuple(c * inv for c in a)
+    if len(b) == 1:
+        return (_ONE,)
+    a = _primitive(a)
+    b = _primitive(b) if b else []
+    while len(b) > 1:
+        r, n, lb = a, len(b), b[-1]
+        for k in range(len(r) - n, -1, -1):
+            c = r[k + n - 1]
+            if c:
+                g = gcd(lb, c)
+                s, c = lb // g, c // g
+                r = [s * v for v in r[:k]] + [s * v - c * w for v, w in zip(r[k:], b)]
+            r = r[: k + n - 1]
+        r = _ptrim(tuple(r))
+        a, b = b, _primitive(r) if r else []
+    if b:
+        return (_ONE,)
+    return tuple(Fraction(v, a[-1]) for v in a)
 
 
 def _peval(a: tuple, x: Fraction) -> Fraction:
@@ -355,6 +386,44 @@ def add_terms(pairs, into: dict | None = None) -> dict:
             out[key] = s
         elif acc is not None:
             del out[key]
+    return out
+
+
+def add_products(pairs) -> dict:
+    """Sum c * vec over (c, vec) pairs of an exact scalar c and a mapping vec
+    from keys to rationals, into a dict of the nonzero sums.
+
+    Rational scalars go through `add_terms` unchanged.  Rational-function
+    scalars are not added term by term, which would reduce every partial
+    sum: their numerators, scaled by the entries of vec, are added over the
+    lcm of the distinct denominators, and each key's sum is reduced once.  A
+    key that only rational scalars reach keeps a rational sum, as
+    `add_terms` would give."""
+    pairs = list(pairs)
+    out = add_terms(
+        (key, c * t) for c, vec in pairs if not isinstance(c, RatFunc) for key, t in vec.items()
+    )
+    functions = [(c, vec) for c, vec in pairs if isinstance(c, RatFunc)]
+    if not functions:
+        return out
+    dens = {c.den for c, _ in functions}
+    common = (_ONE,)
+    for d in dens:
+        common = _pmul(common, _pdivmod(d, _pgcd(common, d))[0])
+    cofactor = {d: _pdivmod(common, d)[0] for d in dens}
+    nums: dict = {}
+    for c, vec in functions:
+        num = _pmul(c.num, cofactor[c.den])
+        for key, t in vec.items():
+            nums[key] = _padd(nums.get(key, ()), tuple(v * t for v in num))
+    for key, num in nums.items():
+        extra = out.get(key)
+        if extra is not None:
+            num = _padd(num, tuple(v * extra for v in common))
+        if num:
+            out[key] = RatFunc(num, common)
+        else:
+            out.pop(key, None)
     return out
 
 

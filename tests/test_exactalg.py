@@ -15,8 +15,11 @@ from superbc.exactalg import (
     UNIQUE,
     VariableMismatch,
     _padd,
+    _pdivmod,
     _pgcd,
     _pmul,
+    add_products,
+    add_terms,
     poly_substitute,
     scalar_eval,
     solve_exact,
@@ -84,6 +87,90 @@ def test_ratfunc_fast_paths_match_the_general_constructor():
             for product in (a * c, c * a):
                 assert (product.num, product.den) == (general.num, general.den)
     assert shared > 50 and coprime > 50
+
+
+def _euclid_gcd(a, b):
+    """The monic gcd by Euclid's algorithm over Q: the oracle for the
+    integer pseudo-remainder gcd."""
+    while b:
+        a, b = b, _pdivmod(a, b)[1]
+    if not a:
+        return ()
+    inv = 1 / a[-1]
+    return tuple(c * inv for c in a)
+
+
+def _random_poly(rng, degree):
+    """Random coefficients with non-unit denominators; the leading one is
+    nonzero, of either sign and rarely 1."""
+    cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(degree)]
+    lead = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7))
+    return tuple(cs) + (lead,)
+
+
+def test_integer_gcd_matches_euclid_over_q():
+    rng = random.Random(11)
+    third, x_plus_half = (Fraction(1, 3),), (Fraction(1, 2), Fraction(1))
+    cases = [((), ()), ((), third), (third, ()), (third, x_plus_half), ((), x_plus_half)]
+    for _ in range(100):
+        a = _random_poly(rng, rng.randint(0, 12))
+        b = _random_poly(rng, rng.randint(0, 12))
+        common = _random_poly(rng, rng.randint(1, 6))
+        cases += [
+            (a, b),
+            (_pmul(a, common), _pmul(b, common)),
+            (_pmul(a, common), common),
+            (_pmul(_pmul(a, common), common), _pmul(b, common)),
+        ]
+    nontrivial = 0
+    for a, b in cases:
+        expected = _euclid_gcd(a, b)
+        got = _pgcd(a, b)
+        assert got == expected == _pgcd(b, a)
+        assert all(type(c) is Fraction for c in got)
+        if got:
+            assert got[-1] == 1
+        nontrivial += len(got) > 1
+    assert nontrivial >= 300
+
+
+def _random_products(rng, function_share):
+    """Seeded (c, vec) pairs: the denominators of the rational functions c
+    come from a pool of linear factors, so that two of them often share a
+    factor and often do not, and about half the pairs are followed by their
+    negative on one of their keys, so that some sums cancel."""
+    out = []
+    for _ in range(rng.randint(0, 8)):
+        vec = {rng.randint(0, 4): Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))}
+        if rng.random() < function_share:
+            c = _random_ratfunc(rng)
+        else:
+            c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        out.append((c, vec))
+        if rng.random() < 0.5:
+            key = rng.choice(list(vec))
+            out.append((c, {key: -vec[key]}))
+    rng.shuffle(out)
+    return out
+
+
+@pytest.mark.parametrize("function_share", [0, 0.5, 1], ids=["rational", "mixed", "functions"])
+def test_add_products_matches_add_terms(function_share):
+    rng = random.Random(7)
+    cancelled = shared = 0
+    for _ in range(150):
+        pairs = _random_products(rng, function_share)
+        expected = add_terms((key, c * t) for c, vec in pairs for key, t in vec.items())
+        got = add_products(pairs)
+        assert got == expected
+        assert all(c for c in got.values())
+        cancelled += len({key for _, vec in pairs for key in vec} - set(got))
+        dens = {c.den for c, _ in pairs if isinstance(c, RatFunc)}
+        shared += any(len(_euclid_gcd(a, b)) > 1 for a in dens for b in dens if a != b)
+        if not function_share:
+            assert all(type(c) is Fraction for c in got.values())
+    assert cancelled > 25
+    assert shared > 25 or not function_share
 
 
 @given(scalars, scalars, scalars)
