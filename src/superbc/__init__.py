@@ -7,12 +7,9 @@ from superbc.partitions import (
     HookParams,
     NotAHook,
     Partition,
-    contains,
     enumerate_hooks,
-    is_hook,
     lambda_natural,
     partitions_of,
-    transpose,
 )
 from superbc.exactalg import (
     THETA,
@@ -21,7 +18,6 @@ from superbc.exactalg import (
     RatFunc,
     SparsePoly,
     VariableMismatch,
-    poly_substitute,
     scalar_eval,
     solve_exact,
 )
@@ -37,7 +33,6 @@ from superbc.superpoly import (
     ZeroTheta,
     is_even_supersymmetric,
     is_supersymmetric,
-    lambda0_basis,
     phi_theta,
     res_map,
     squared_substitution,

@@ -2,7 +2,8 @@
 with canonical text or structured JSON output.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 degenerate
-normalization encountered (fallback used).
+normalization encountered (fallback used), 4 internal error (an exact
+computation that cannot fail did, e.g. an inconsistent vanishing system).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from fractions import Fraction
 
 import superbc
-from superbc.exactalg import scalar_text, signed_sum_text
+from superbc.exactalg import signed_sum_text
 from superbc.interpbc import (
     DegenerateNormalization,
     PROPERTIES,
@@ -96,7 +97,7 @@ def _symfun_records(f) -> dict:
 
 def _symfun_text(f) -> str:
     return signed_sum_text(
-        (scalar_text(c), f"p[{lam}]")
+        (str(c), f"p[{lam}]")
         for lam, c in sorted(f.coeffs.items(), key=lambda kv: sort_key(kv[0]))
     )
 
@@ -202,7 +203,7 @@ def _cmd_superjack(args):
 def _cmd_grid(args):
     hp = HookParams(args.p, args.q)
     point = grid_point(args.lam, hp)
-    coords = [scalar_text(c) for c in point.coords]
+    coords = [str(c) for c in point.coords]
     result = {"lambda": str(args.lam), "p": args.p, "q": args.q, "coordinates": coords}
     return 0, result, ["(" + ", ".join(coords) + ")"]
 
@@ -214,8 +215,8 @@ def _interp_result(j) -> dict:
         "q": j.hp.q,
         "mode": j.mode,
         "polynomial": j.poly.to_record(),
-        "normalization_value": scalar_text(j.normalization_value),
-        "measured_top_coefficient": scalar_text(j.measured_top_coefficient),
+        "normalization_value": str(j.normalization_value),
+        "measured_top_coefficient": str(j.measured_top_coefficient),
         "degenerate_normalization": j.degenerate_normalization,
         "extended_grid_used": j.extended_grid_used,
         "coefficients": [
@@ -228,8 +229,8 @@ def _interp_lines(j) -> list:
     return [
         f"J[{j.mu}] = {j.poly.to_text()}",
         f"mode = {j.mode}",
-        f"normalization_value = {scalar_text(j.normalization_value)}",
-        f"measured_top_coefficient = {scalar_text(j.measured_top_coefficient)}",
+        f"normalization_value = {j.normalization_value}",
+        f"measured_top_coefficient = {j.measured_top_coefficient}",
         f"degenerate_normalization = {str(j.degenerate_normalization).lower()}",
         f"extended_grid_used = {str(j.extended_grid_used).lower()}",
     ]
@@ -252,13 +253,13 @@ def _cmd_kmu(args):
     if (args.p is None) != (args.q is None):
         raise ValueError("--p and --q must be given together")
     k = k_mu(args.mu)
-    result = {"mu": str(args.mu), "k": scalar_text(k)}
-    lines = [f"k[{args.mu}] = {scalar_text(k)}"]
+    result = {"mu": str(args.mu), "k": str(k)}
+    lines = [f"k[{args.mu}] = {k}"]
     if args.p is not None:
         hp = HookParams(args.p, args.q)
         kd = derive_k(args.mu, hp)
-        result.update({"p": args.p, "q": args.q, "k_derived": scalar_text(kd)})
-        lines.append(f"k_derived[{args.mu}] at (p, q) = ({args.p}, {args.q}) = {scalar_text(kd)}")
+        result.update({"p": args.p, "q": args.q, "k_derived": str(kd)})
+        lines.append(f"k_derived[{args.mu}] at (p, q) = ({args.p}, {args.q}) = {kd}")
     return 0, result, lines
 
 
@@ -283,7 +284,7 @@ def _cmd_expand(args):
         "entries": entries,
     }
     lines = [
-        f"nu=({en.nu}) e={scalar_text(en.coefficient)} C={scalar_text(en.hook_product)} "
+        f"nu=({en.nu}) e={en.coefficient} C={en.hook_product} "
         f"direct={str(en.direct).lower()} reciprocal={str(en.reciprocal).lower()}"
         for en in report.entries
     ]
@@ -326,6 +327,11 @@ def run(argv=None) -> int:
     except (NotAHook, ValueError, ZeroDivisionError, DegenerateParameter) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except ArithmeticError as err:
+        # an exact computation that cannot fail did: an inconsistent
+        # vanishing system or a division that should have been exact
+        print(f"internal error: {err}", file=sys.stderr)
+        return 4
     if cache_path:
         save_jack_cache(cache_path)
     if args.format == "structured":

@@ -62,19 +62,24 @@ def _pmul(a: tuple, b: tuple) -> tuple:
     return _ptrim(tuple(out))
 
 
-def _pdivmod(a: tuple, b: tuple) -> tuple[tuple, tuple]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+def _pquo(a, b) -> tuple:
+    """Exact quotient of integer coefficient sequences, lowest degree first,
+    by synthetic division from the top.  Raises ArithmeticError when b does
+    not divide a in integer polynomials."""
+    n, lb = len(b), b[-1]
     rem = list(a)
-    q = [_ZERO] * max(len(a) - len(b) + 1, 0)
-    inv = 1 / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        c = rem[k + len(b) - 1] * inv
+    q = [0] * max(len(a) - n + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c, r = divmod(rem[k + n - 1], lb)
+        if r:
+            raise ArithmeticError("polynomial division is not exact")
         if c:
             q[k] = c
-            for j, cb in enumerate(b):
-                rem[k + j] -= c * cb
-    return _ptrim(tuple(q)), _ptrim(tuple(rem))
+            for j in range(n - 1):
+                rem[k + j] -= c * b[j]
+    if any(rem[: n - 1]):
+        raise ArithmeticError("polynomial division is not exact")
+    return tuple(q)
 
 
 def _primitive(cs) -> list:
@@ -86,20 +91,21 @@ def _primitive(cs) -> list:
 
 
 def _pgcd(a: tuple, b: tuple) -> tuple:
-    """Monic gcd, by a primitive pseudo-remainder sequence in integers.
+    """Integer primitive gcd, by a primitive pseudo-remainder sequence.
 
-    The gcd over Q is the gcd of the integer primitive parts, made monic, so
-    both inputs are first cleared of denominators and content.  Each step
-    replaces (a, b) by b and the primitive part of a constant multiple of
-    a mod b: every cancelling step scales by lc(b)/g, with g the gcd of
-    lc(b) and the coefficient it cancels, so the remainder stays in
-    integers and the content division keeps them small."""
+    The gcd over Q is the gcd of the integer primitive parts up to a
+    constant, so both inputs are first cleared of denominators and content.
+    Each step replaces (a, b) by b and the primitive part of a constant
+    multiple of a mod b: every cancelling step scales by lc(b)/g, with g the
+    gcd of lc(b) and the coefficient it cancels, so the remainder stays in
+    integers and the content division keeps them small.  A constant gcd is
+    (1,), and the gcd of two zeros is ()."""
     if len(a) < len(b):
         a, b = b, a
     if not a:
         return ()
     if len(b) == 1:
-        return (_ONE,)
+        return (1,)
     a = _primitive(a)
     b = _primitive(b) if b else []
     while len(b) > 1:
@@ -113,9 +119,7 @@ def _pgcd(a: tuple, b: tuple) -> tuple:
             r = r[: k + n - 1]
         r = _ptrim(tuple(r))
         a, b = b, _primitive(r) if r else []
-    if b:
-        return (_ONE,)
-    return tuple(Fraction(v, a[-1]) for v in a)
+    return (1,) if b else tuple(a)
 
 
 def _peval(a: tuple, x: Fraction) -> Fraction:
@@ -159,8 +163,9 @@ def _ptext(cs: tuple, sym: str) -> str:
 class RatFunc:
     """Rational function num/den in one formal parameter over Q.
 
-    Canonical form (gcd(num, den) = 1, den monic) is restored by every
-    operation, so structural equality is mathematical equality.
+    Canonical form (gcd(num, den) = 1, den monic) is restored by the
+    constructor, through which every operation builds its result or its
+    reduced parts, so structural equality is mathematical equality.
     """
 
     __slots__ = ("num", "den")
@@ -174,16 +179,18 @@ class RatFunc:
             raise ZeroDivisionError("rational function with zero denominator")
         if not num_t:
             den_t = (_ONE,)
-        else:
-            g = _pgcd(num_t, den_t)
-            if len(g) > 1:
-                num_t = _pdivmod(num_t, g)[0]
-                den_t = _pdivmod(den_t, g)[0]
-            lead = den_t[-1]
-            if lead != 1:
-                inv = 1 / lead
-                num_t = tuple(c * inv for c in num_t)
-                den_t = tuple(c * inv for c in den_t)
+        elif len(g := _pgcd(num_t, den_t)) > 1:
+            # over one integer denominator the primitive gcd divides both
+            # parts exactly (Gauss's lemma); the denominator cancels
+            ints = _common_denominator(num_t + den_t)[0]
+            num_i, den_i = _pquo(ints[: len(num_t)], g), _pquo(ints[len(num_t):], g)
+            lead = den_i[-1]
+            num_t = tuple(Fraction(c, lead) for c in num_i)
+            den_t = tuple(Fraction(c, lead) for c in den_i)
+        elif den_t[-1] != 1:
+            inv = 1 / den_t[-1]
+            num_t = tuple(c * inv for c in num_t)
+            den_t = tuple(c * inv for c in den_t)
         self.num = num_t
         self.den = den_t
 
@@ -192,8 +199,8 @@ class RatFunc:
         if isinstance(v, RatFunc):
             raise TypeError("nested rational functions are not supported")
         if isinstance(v, (int, Fraction)):
-            return _ptrim((Fraction(v),))
-        return _ptrim(tuple(Fraction(c) for c in v))
+            v = (v,)
+        return _ptrim(tuple(c if type(c) is Fraction else Fraction(c) for c in v))
 
     @classmethod
     def variable(cls) -> "RatFunc":
@@ -219,22 +226,9 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        # Henrici: with g = gcd(b, d), a/b + c/d = (a d' + c b') / (g b' d')
-        # for b = g b' and d = g d'.  As both operands are reduced, a common
-        # factor of that numerator and denominator divides g, so one gcd
-        # with g reduces the sum, and none is needed when g = 1.
-        g = _pgcd(self.den, o.den)
-        b1, d1 = self.den, o.den
-        if len(g) > 1:
-            b1, d1 = _pdivmod(b1, g)[0], _pdivmod(d1, g)[0]
-        num = _padd(_pmul(self.num, d1), _pmul(o.num, b1))
-        if not num:
-            return RatFunc._reduced((), (_ONE,))
-        if len(g) > 1:
-            common = _pgcd(num, g)
-            if len(common) > 1:
-                num, g = _pdivmod(num, common)[0], _pdivmod(g, common)[0]
-        return RatFunc._reduced(num, _pmul(_pmul(b1, d1), g))
+        # with b/d = b'/d' in lowest terms, b d' = d b' is a common denominator
+        q = RatFunc(self.den, o.den)
+        return RatFunc(_padd(_pmul(self.num, q.den), _pmul(o.num, q.num)), _pmul(self.den, q.den))
 
     __radd__ = __add__
 
@@ -264,17 +258,11 @@ class RatFunc:
             if not const.num:
                 return const
             return RatFunc._reduced(tuple(c * const.num[0] for c in other.num), other.den)
-        # Henrici: as both operands are reduced, (a/b)(c/d) is reduced once
-        # gcd(a, d) and gcd(c, b) are cancelled; monic factors leave the
-        # denominator monic
-        a, b, c, d = self.num, self.den, o.num, o.den
-        g = _pgcd(a, d)
-        if len(g) > 1:
-            a, d = _pdivmod(a, g)[0], _pdivmod(d, g)[0]
-        g = _pgcd(c, b)
-        if len(g) > 1:
-            c, b = _pdivmod(c, g)[0], _pdivmod(b, g)[0]
-        return RatFunc._reduced(_pmul(a, c), _pmul(b, d))
+        # (a/b)(c/d) = (a/d)(c/b), and as a/b and c/d are reduced, so is the
+        # product of those two in lowest terms; their monic denominators
+        # leave the product's monic
+        x, y = RatFunc(self.num, o.den), RatFunc(o.num, self.den)
+        return RatFunc._reduced(_pmul(x.num, y.num), _pmul(x.den, y.den))
 
     __rmul__ = __mul__
 
@@ -369,10 +357,6 @@ def scalar_eval(f, theta0) -> Fraction:
     return Fraction(f)
 
 
-def scalar_text(c) -> str:
-    return str(c)
-
-
 def add_terms(pairs, into: dict | None = None) -> dict:
     """Sum (key, value) pairs into a dict, keeping only the nonzero sums.
     Every sparse linear combination in the package is built by this one
@@ -409,8 +393,9 @@ def add_products(pairs) -> dict:
     dens = {c.den for c, _ in functions}
     common = (_ONE,)
     for d in dens:
-        common = _pmul(common, _pdivmod(d, _pgcd(common, d))[0])
-    cofactor = {d: _pdivmod(common, d)[0] for d in dens}
+        # lcm(common, d) = common * d / gcd(common, d)
+        common = _pmul(common, RatFunc(d, common).num)
+    cofactor = {d: RatFunc(common, d).num for d in dens}
     nums: dict = {}
     for c, vec in functions:
         num = _pmul(c.num, cofactor[c.den])
@@ -670,7 +655,7 @@ class SparsePoly:
             mon = "*".join(
                 (v if k == 1 else f"{v}^{k}") for v, k in zip(self.vars, exps) if k
             )
-            cs = scalar_text(c)
+            cs = str(c)
             if isinstance(c, RatFunc) and not c.is_constant():
                 cs = f"({cs})"
             pairs.append((cs, mon))
@@ -703,11 +688,6 @@ class SparsePoly:
             for t in rec["terms"]
         }
         return cls(tuple(rec["variables"]), terms)
-
-
-def poly_substitute(f: SparsePoly, assignment: Mapping) -> SparsePoly:
-    """Exact composition; see SparsePoly.substitute."""
-    return f.substitute(assignment)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from superbc.exactalg import (
     SparsePoly,
     UNIQUE,
     as_scalar,
-    scalar_text,
     solve_exact,
 )
 from superbc.partitions import (
@@ -532,7 +531,7 @@ def _verify_vanishing(hp: HookParams, max_size: int, window: int) -> list:
         if j.mode == "top":
             recs.append(
                 VerifyRecord("vanishing", hp.p, hp.q, mu, None, "top", "degenerate",
-                             scalar_text(normalization_target(mu, hp)))
+                             str(normalization_target(mu, hp)))
             )
         for lam in enumerate_hooks(hp, mu.size + window, "upto"):
             if lam.contains(mu):
@@ -540,7 +539,7 @@ def _verify_vanishing(hp: HookParams, max_size: int, window: int) -> list:
             val = j.poly.evaluate(grid_point(lam, hp).coords)
             recs.append(
                 VerifyRecord("vanishing", hp.p, hp.q, mu, lam, j.mode,
-                             "pass" if val == 0 else "fail", scalar_text(val))
+                             "pass" if val == 0 else "fail", str(val))
             )
     return recs
 
@@ -553,14 +552,14 @@ def _verify_normalization(hp: HookParams, max_size: int) -> list:
             j = interpolation_J(mu, hp, "top")
             recs.append(
                 VerifyRecord("normalization", hp.p, hp.q, mu, None, "top", "degenerate",
-                             scalar_text(j.normalization_value))
+                             str(j.normalization_value))
             )
             continue
         j = interpolation_J(mu, hp, "paper")
         recs.append(
             VerifyRecord("normalization", hp.p, hp.q, mu, None, "paper",
                          "pass" if j.normalization_value == target else "fail",
-                         scalar_text(j.normalization_value))
+                         str(j.normalization_value))
         )
         image = shimura_image(mu, hp)
         expected = Fraction(-1) ** mu.size * c_factor(mu, 1, -1, "minus") ** 2 * c_factor(
@@ -569,7 +568,7 @@ def _verify_normalization(hp: HookParams, max_size: int) -> list:
         got = image.poly.evaluate(grid_point(mu, hp).coords)
         recs.append(
             VerifyRecord("normalization", hp.p, hp.q, mu, None, "shimura",
-                         "pass" if got == expected else "fail", scalar_text(got))
+                         "pass" if got == expected else "fail", str(got))
         )
     return recs
 
@@ -602,7 +601,7 @@ def _verify_expansion(hp: HookParams, max_size: int) -> list:
             mode = "both" if en.direct and en.reciprocal else ("direct" if en.direct else ("reciprocal" if en.reciprocal else "neither"))
             recs.append(
                 VerifyRecord("expansion", hp.p, hp.q, en.nu, None, mode,
-                             "pass" if ok else "fail", scalar_text(en.coefficient))
+                             "pass" if ok else "fail", str(en.coefficient))
             )
         recs.append(
             VerifyRecord("expansion", hp.p, hp.q, None, None, report.orientation,
@@ -638,7 +637,7 @@ def _verify_res_eval(hp: HookParams, n_points: int = 20) -> list:
             recs.append(
                 VerifyRecord("res-eval", hp.p, hp.q, None, None, f"p{r}",
                              "pass" if ok else "fail",
-                             scalar_text(lhs) if ok else scalar_text(lhs - rhs))
+                             str(lhs) if ok else str(lhs - rhs))
             )
     return recs
 

@@ -115,18 +115,6 @@ def sort_key(lam: Partition) -> tuple:
     return (lam.size, tuple(-v for v in lam.parts))
 
 
-def transpose(lam: Partition) -> Partition:
-    return lam.transpose()
-
-
-def contains(lam: Partition, mu: Partition) -> bool:
-    return lam.contains(mu)
-
-
-def is_hook(lam: Partition, hp: HookParams) -> bool:
-    return lam.is_hook(hp)
-
-
 def partitions_of(d: int) -> tuple[Partition, ...]:
     """All partitions of d in reverse-lexicographic order."""
     if d < 0:

@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from superbc.exactalg import SparsePoly, VariableMismatch, as_scalar
-from superbc.partitions import HookParams, Partition, enumerate_hooks, sort_key
+from superbc.partitions import HookParams, Partition, sort_key
 from superbc.symmfunc import SymFun, jack_P
 
 
@@ -144,16 +144,6 @@ def is_even_supersymmetric(f: SparsePoly, hp: HookParams) -> bool:
         and _sign_invariant(f)
         and _t_independent(f, hp, -1)
     )
-
-
-def lambda0_basis(hp: HookParams, d: int) -> list:
-    """Pairs (nu, SP_nu(x^2, y^2; 1)) for hook partitions nu of size <= d;
-    homogeneous of degree 2|nu| and linearly independent."""
-    one = Fraction(1)
-    return [
-        (nu, squared_substitution(super_jack(nu, hp, one), hp))
-        for nu in enumerate_hooks(hp, d, "upto")
-    ]
 
 
 def res_map(f: SparsePoly, hp: HookParams) -> SparsePoly:

@@ -21,6 +21,7 @@ from superbc.exactalg import (
     THETA,
     SparsePoly,
     _peval,
+    _pquo,
     add_products,
     add_terms,
     as_scalar,
@@ -113,9 +114,6 @@ class SymFun:
     @property
     def degree(self) -> int:
         return max((lam.size for lam in self.coeffs), default=-1)
-
-    def homogeneous_component(self, d: int) -> "SymFun":
-        return SymFun({lam: c for lam, c in self.coeffs.items() if lam.size == d})
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -287,16 +285,12 @@ def _jack_integral(parts: tuple) -> tuple:
                         for k, x in enumerate(v_nu, start=1):
                             num[k] += w * x
         s0, s1 = _rho(m)
-        d0, d1 = r0 - s0, r1 - s1
-        # divide by d0 + d1 theta, leaving each step's remainder in num
-        quot = [0] * len(c_lam)
-        for k in range(len(c_lam), 0, -1):
-            quot[k - 1], num[k] = divmod(num[k], d1)
-            num[k - 1] -= quot[k - 1] * d0
-        if any(num):
-            raise ArithmeticError(f"Jack recurrence division is not exact at {lam}, {mu}")
+        try:
+            quot = _pquo(num, (r0 - s0, r1 - s1))
+        except ArithmeticError as err:
+            raise ArithmeticError(f"Jack recurrence division is not exact at {lam}, {mu}") from err
         if any(quot):
-            v[m] = tuple(quot)
+            v[m] = quot
     return c_lam, v
 
 

@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
+import superbc.interpbc
 from superbc.cli import run
-from superbc.exactalg import SparsePoly
+from superbc.exactalg import INCONSISTENT, LinearSolveOutcome, SparsePoly
 from superbc.interpbc import interpolation_J
 from superbc.partitions import HookParams, Partition
 
@@ -132,6 +133,22 @@ def test_usage_errors_exit_2():
     assert spawn("kmu", "--mu", "2,2", "--p", "1", "--q", "1").returncode == 2  # not a hook
     assert spawn("jack", "--mu", "2", "--theta", "0").returncode == 2  # degenerate theta
     assert spawn("jack", "--mu", "2", "--theta", "-1").returncode == 2  # vanishing norm
+
+
+def test_internal_faults_exit_4(monkeypatch, capsys):
+    # an inconsistent vanishing system is a fault of the program, neither a
+    # failed verification (1) nor a usage error (2)
+    monkeypatch.setattr(
+        superbc.interpbc, "solve_exact", lambda *args, **kwargs: LinearSolveOutcome(INCONSISTENT)
+    )
+    interpolation_J.cache_clear()
+    try:
+        code = run(["interp", "--mu", "1", "--p", "2", "--q", "1"])
+    finally:
+        interpolation_J.cache_clear()
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err.startswith("internal error: vanishing system inconsistent")
 
 
 def test_verify_structured_determinism():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -15,12 +16,12 @@ from superbc.exactalg import (
     UNIQUE,
     VariableMismatch,
     _padd,
-    _pdivmod,
     _pgcd,
     _pmul,
+    _pquo,
+    _ptrim,
     add_products,
     add_terms,
-    poly_substitute,
     scalar_eval,
     solve_exact,
 )
@@ -69,8 +70,9 @@ def _random_ratfunc(rng):
 
 
 def test_ratfunc_fast_paths_match_the_general_constructor():
-    # sums and products skip some or all of the gcd work of the
-    # constructor; their results must be its canonical form exactly
+    # sums and products reduce smaller pieces than the full result (the
+    # quotient of the denominators, the two cross quotients); their results
+    # must be the constructor's canonical form exactly
     rng = random.Random(5)
     shared = coprime = 0
     for _ in range(400):
@@ -89,15 +91,31 @@ def test_ratfunc_fast_paths_match_the_general_constructor():
     assert shared > 50 and coprime > 50
 
 
+def _pdivmod(a, b):
+    """Quotient and remainder by long division over Q: the oracle for the
+    integer exact division."""
+    rem = list(a)
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    inv = 1 / Fraction(b[-1])
+    for k in range(len(a) - len(b), -1, -1):
+        c = rem[k + len(b) - 1] * inv
+        if c:
+            q[k] = c
+            for j, cb in enumerate(b):
+                rem[k + j] -= c * cb
+    return _ptrim(tuple(q)), _ptrim(tuple(rem))
+
+
+def _monic(a):
+    return tuple(Fraction(c) / a[-1] for c in a)
+
+
 def _euclid_gcd(a, b):
     """The monic gcd by Euclid's algorithm over Q: the oracle for the
     integer pseudo-remainder gcd."""
     while b:
         a, b = b, _pdivmod(a, b)[1]
-    if not a:
-        return ()
-    inv = 1 / a[-1]
-    return tuple(c * inv for c in a)
+    return _monic(a)
 
 
 def _random_poly(rng, degree):
@@ -126,12 +144,70 @@ def test_integer_gcd_matches_euclid_over_q():
     for a, b in cases:
         expected = _euclid_gcd(a, b)
         got = _pgcd(a, b)
-        assert got == expected == _pgcd(b, a)
-        assert all(type(c) is Fraction for c in got)
-        if got:
-            assert got[-1] == 1
+        # the primitive integer form of the monic gcd over Q
+        assert all(type(c) is int for c in got)
+        assert not got or gcd(*got) == 1
+        assert _monic(got) == expected == _monic(_pgcd(b, a))
         nontrivial += len(got) > 1
     assert nontrivial >= 300
+
+
+def test_ratfunc_constructor_matches_euclid_reduction():
+    # the oracle: divide by the Euclid gcd over Q, then make den monic
+    rng = random.Random(23)
+    kinds = {"shared": 0, "zero": 0, "constant": 0}
+    for _ in range(400):
+        num = _random_poly(rng, rng.randint(0, 5)) if rng.random() < 0.9 else ()
+        den = _random_poly(rng, rng.randint(0, 5))
+        if rng.random() < 0.6:
+            common = _random_poly(rng, rng.randint(1, 3))
+            num, den = _pmul(num, common), _pmul(den, common)
+        r = RatFunc(num, den)
+        if num:
+            g = _euclid_gcd(num, den)
+            n, d = _pdivmod(num, g)[0], _pdivmod(den, g)[0]
+            expected = (tuple(c / d[-1] for c in n), _monic(d))
+        else:
+            expected = ((), (Fraction(1),))
+        assert (r.num, r.den) == expected, (num, den)
+        assert all(type(c) is Fraction for c in r.num + r.den)
+        kinds["shared"] += bool(num) and len(g) > 1
+        kinds["zero"] += not num
+        kinds["constant"] += len(r.num) <= 1 and len(r.den) == 1
+    assert all(v > 20 for v in kinds.values()), kinds
+
+
+def _imul(a, b):
+    return tuple(int(c) for c in _pmul(a, b))
+
+
+def test_exact_integer_division():
+    rng = random.Random(29)
+    low_raised = top_raised = 0
+    for _ in range(300):
+        b = (*(rng.randint(-9, 9) for _ in range(rng.randint(0, 4))), rng.choice((-3, -2, -1, 1, 2, 5)))
+        q = tuple(rng.randint(-9, 9) for _ in range(rng.randint(0, 5)))
+        got = _pquo(_imul(q, b), b)
+        assert all(type(c) is int for c in got)
+        assert _imul(got, b) == _imul(q, b)
+        # a remainder below deg b after a quotient that divides at every
+        # step: only the final check finds it
+        low = tuple(rng.randint(-9, 9) for _ in range(len(b) - 1))
+        if any(low):
+            monic_b = b[:-1] + (rng.choice((-1, 1)),)
+            with pytest.raises(ArithmeticError):
+                _pquo(_padd(_imul(q, monic_b), low), monic_b)
+            low_raised += 1
+        # a top coefficient that the lead of b does not divide
+        if abs(b[-1]) > 1:
+            top = (0,) * (len(q) + len(b) + rng.randint(0, 2)) + (1,)
+            with pytest.raises(ArithmeticError):
+                _pquo(_padd(_imul(q, b), top), b)
+            top_raised += 1
+    assert low_raised > 50 and top_raised > 50
+    assert _pquo((), (2, 1)) == ()
+    with pytest.raises(ArithmeticError):
+        _pquo((3,), (2, 1))
 
 
 def _random_products(rng, function_share):
@@ -189,24 +265,23 @@ def test_ring_axioms(a, b, c):
 def test_substitute_examples():
     x2 = SparsePoly(("x",), {(2,): 1})
     t_half = SparsePoly(("t",), {(1,): Fraction(1, 2)})
-    assert poly_substitute(x2, {"x": t_half}) == SparsePoly(("t",), {(2,): Fraction(1, 4)})
+    assert x2.substitute({"x": t_half}) == SparsePoly(("t",), {(2,): Fraction(1, 4)})
 
     f = SparsePoly(("x", "y"), {(1, 0): 1, (0, 1): 1})
-    assert poly_substitute(f, {"x": 1, "y": -1}).is_zero()
+    assert f.substitute({"x": 1, "y": -1}).is_zero()
 
     xy = SparsePoly(("x", "y"), {(1, 1): 1})
     u_plus_v = SparsePoly(("u", "v"), {(1, 0): 1, (0, 1): 1})
-    out = poly_substitute(xy, {"x": u_plus_v})
+    out = xy.substitute({"x": u_plus_v})
     assert out == SparsePoly(("u", "v", "y"), {(1, 0, 1): 1, (0, 1, 1): 1})
 
 
 def test_substitute_variable_mismatch():
     f = SparsePoly(("x", "y"), {(1, 1): 1})
     with pytest.raises(VariableMismatch):
-        poly_substitute(f, {"z": 1})
+        f.substitute({"z": 1})
     with pytest.raises(VariableMismatch):
-        poly_substitute(
-            f,
+        f.substitute(
             {"x": SparsePoly(("u",), {(1,): 1}), "y": SparsePoly(("v",), {(1,): 1})},
         )
 
@@ -214,11 +289,11 @@ def test_substitute_variable_mismatch():
 @given(sparse_polys(), sparse_polys(), sparse_polys(variables=("u", "v")), rationals)
 def test_substitute_is_ring_homomorphism(f, g, image, c):
     assignment = {"x": image, "y": c}
-    lhs_mul = poly_substitute(f * g, assignment)
-    rhs_mul = poly_substitute(f, assignment) * poly_substitute(g, assignment)
+    lhs_mul = (f * g).substitute(assignment)
+    rhs_mul = f.substitute(assignment) * g.substitute(assignment)
     assert lhs_mul == rhs_mul
-    lhs_add = poly_substitute(f + g, assignment)
-    rhs_add = poly_substitute(f, assignment) + poly_substitute(g, assignment)
+    lhs_add = (f + g).substitute(assignment)
+    rhs_add = f.substitute(assignment) + g.substitute(assignment)
     assert lhs_add == rhs_add
 
 

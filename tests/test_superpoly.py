@@ -4,14 +4,14 @@ from fractions import Fraction
 import pytest
 
 from superbc.exactalg import SparsePoly, THETA, UNIQUE, VariableMismatch, solve_exact
-from superbc.partitions import HookParams, Partition, partitions_of
+from superbc.interpbc import _sp_squared
+from superbc.partitions import HookParams, Partition, enumerate_hooks, partitions_of
 from superbc.superpoly import (
     ZeroTheta,
     a_variables,
     h_variables,
     is_even_supersymmetric,
     is_supersymmetric,
-    lambda0_basis,
     phi_theta,
     power_sum,
     power_sum_doubled,
@@ -172,6 +172,11 @@ def test_super_jack_at_one_is_the_hook_schur_polynomial():
                 expected = _hook_schur(lam, hp)
                 assert expected.is_zero() == (not lam.is_hook(hp))
                 assert super_jack(lam, hp, ONE) == expected, (lam, hp)
+
+
+def lambda0_basis(hp, d):
+    """Pairs (nu, SP_nu(x^2, y^2; 1)) for the hook partitions nu of size <= d."""
+    return [(nu, _sp_squared(nu, hp)) for nu in enumerate_hooks(hp, d, "upto")]
 
 
 def test_lambda0_basis_examples():

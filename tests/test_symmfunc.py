@@ -248,4 +248,3 @@ def test_symfun_algebra():
     assert SymFun.one() * SymFun.p(P(1)) == SymFun.p(P(1))
     assert (f - f) == SymFun.zero()
     assert f.degree == 3
-    assert f.homogeneous_component(3) == f
