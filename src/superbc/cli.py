@@ -1,9 +1,9 @@
 """Command-line front end: compute objects and run the verification suites,
 with canonical text or structured JSON output.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 degenerate
-normalization encountered (fallback used), 4 internal error (an exact
-computation that cannot fail did, e.g. an inconsistent vanishing system).
+Exit codes: 0 success, 1 verification failure, 2 usage error or unusable
+cache path, 3 degenerate normalization (fallback used), 4 internal error
+(an exact computation that cannot fail did, e.g. an inconsistent system).
 """
 
 from __future__ import annotations
@@ -310,6 +310,11 @@ def _invocation(args) -> dict:
     return out
 
 
+def _unusable_cache(path, err: OSError) -> int:
+    print(f"error: cannot use cache file {path}: {err.strerror or err}", file=sys.stderr)
+    return 2
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_glue_negative_rationals(sys.argv[1:] if argv is None else list(argv)))
@@ -322,6 +327,8 @@ def run(argv=None) -> int:
                 f"warning: ignoring cache file {cache_path}, which does not parse: {err}",
                 file=sys.stderr,
             )
+        except OSError as err:
+            return _unusable_cache(cache_path, err)
     try:
         code, result, lines = args.func(args)
     except (NotAHook, ValueError, ZeroDivisionError, DegenerateParameter) as err:
@@ -333,7 +340,10 @@ def run(argv=None) -> int:
         print(f"internal error: {err}", file=sys.stderr)
         return 4
     if cache_path:
-        save_jack_cache(cache_path)
+        try:
+            save_jack_cache(cache_path)
+        except OSError as err:
+            return _unusable_cache(cache_path, err)
     if args.format == "structured":
         payload = {
             "tool": "superbc",

@@ -237,6 +237,24 @@ def test_cache_file_of_the_wrong_shape_is_ignored(tmp_path, content):
     assert out.stderr.startswith("warning:") and len(out.stderr.splitlines()) == 1
 
 
+def test_cache_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    code = run(["expand", "--size", "3", "--p", "1", "--q", "1", "--cache", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+
+
+def test_cache_path_in_a_missing_directory_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "c.json"
+    code = run(["jack", "--mu", "2", "--cache", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert not path.parent.exists()
+
+
 def test_jack_at_theta_minus_one(capsys):
     # P_(1,1) = e_2 has no pole at theta = -1; P_(2) does
     code, out = invoke(capsys, "jack", "--mu", "1,1", "--theta", "-1")

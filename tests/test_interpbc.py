@@ -180,16 +180,62 @@ def test_one_more_window_step_keeps_the_coefficients():
             j = paper_or_top(mu, hp)
             window = 0
             while True:
-                unknowns, matrix, rhs = _vanishing_system(mu, hp, j.mode, window)
+                unknowns, matrix, rhs = _vanishing_system(mu, hp, window)
                 first = solve_exact(matrix, rhs, ncols=len(unknowns))
                 if first.tag == UNIQUE:
                     break
                 window += 1
             assert j.extended_grid_used == (window > 0)
             assert dict(zip(unknowns, first.solution)).items() <= dict(j.coefficients).items()
-            unknowns, matrix, rhs = _vanishing_system(mu, hp, j.mode, window + 1)
+            unknowns, matrix, rhs = _vanishing_system(mu, hp, window + 1)
             wider = solve_exact(matrix, rhs, ncols=len(unknowns))
             assert wider.tag == UNIQUE and wider.solution == first.solution, (hp, mu)
+
+
+def _paper_system(mu, hp, window):
+    # Reference system that imposes the normalization instead of checking it:
+    # mu's own coefficient is an unknown, and a last row sets the value at
+    # grid(mu) to the target in place of a fixed top coefficient.
+    from superbc.interpbc import _basis_value
+
+    unknowns = [nu for nu in enumerate_hooks(hp, mu.size, "upto") if nu.size < mu.size]
+    unknowns.append(mu)
+    matrix = [
+        [_basis_value(nu, lam, hp) for nu in unknowns]
+        for lam in enumerate_hooks(hp, mu.size + window, "upto")
+        if not lam.contains(mu)
+    ]
+    rhs = [Fraction(0)] * len(matrix)
+    matrix.append([_basis_value(nu, mu, hp) for nu in unknowns])
+    rhs.append(normalization_target(mu, hp))
+    return unknowns, matrix, rhs
+
+
+def test_imposing_the_normalization_gives_the_same_j():
+    from superbc.exactalg import UNIQUE, solve_exact
+    from superbc.interpbc import _vanishing_system
+
+    def first_unique(system, mu, hp):
+        for window in range(4):
+            unknowns, matrix, rhs = system(mu, hp, window)
+            outcome = solve_exact(matrix, rhs, ncols=len(unknowns))
+            if outcome.tag == UNIQUE:
+                return window, dict(zip(unknowns, outcome.solution))
+        raise AssertionError(f"no window pins J for mu = {mu}")
+
+    checked = 0
+    for hp, max_size in [(hp, 5) for hp in PAIRS] + [(HookParams(3, 3), 4)]:
+        for mu in enumerate_hooks(hp, max_size, "upto"):
+            if not normalization_target(mu, hp):
+                continue
+            j = interpolation_J(mu, hp, "paper")
+            window, solution = first_unique(_paper_system, mu, hp)
+            assert window == first_unique(_vanishing_system, mu, hp)[0], (hp, mu)
+            assert j.extended_grid_used == (window > 0)
+            expected = {nu: solution.get(nu, Fraction(0)) for nu, _ in j.coefficients}
+            assert dict(j.coefficients) == expected, (hp, mu)
+            checked += 1
+    assert checked == 59
 
 
 def test_vanishing_with_window():
