@@ -18,6 +18,7 @@ from fractions import Fraction
 import superbc
 from superbc.exactalg import signed_sum_text
 from superbc.interpbc import (
+    DESK_PQ,
     DegenerateNormalization,
     PROPERTIES,
     VerifySpec,
@@ -80,6 +81,26 @@ def _partition(text: str) -> Partition:
         return Partition.parse(text)
     except ValueError as err:
         raise argparse.ArgumentTypeError(f"bad partition {text!r}: {err}")
+
+
+# Desk-scale bounds on the size of --mu (or --size), past which a call is a
+# usage error before any work.  Each is the largest size that ran in under 5 s
+# at the costliest (p, q) with the same max(p, q) <= DESK_PQ (indexed by
+# max(p, q) - 1); the next size took 6-10 s, and each size after it about
+# twice as long again or more.
+_DESK_SIZE = {"interp": (14, 9, 8), "superjack": (17, 16, 13), "expand": (17, 12, 7)}
+_DESK_JACK_SIZE = 17
+
+
+def _desk_scale(command: str, size: int, hp: HookParams | None = None) -> None:
+    if hp is None:
+        bound, where = _DESK_JACK_SIZE, ""
+    elif hp.p > DESK_PQ or hp.q > DESK_PQ:
+        raise ValueError(f"{command} is desk scale: p, q <= {DESK_PQ}")
+    else:
+        bound, where = _DESK_SIZE[command][max(hp.p, hp.q) - 1], f" at (p, q) = ({hp.p}, {hp.q})"
+    if size > bound:
+        raise ValueError(f"{command} is desk scale: size <= {bound}{where}, got {size}")
 
 
 def _coeff_record(c) -> dict:
@@ -182,6 +203,7 @@ def _cmd_hooks(args):
 
 
 def _cmd_jack(args):
+    _desk_scale("jack", args.mu.size)
     f = jack_P(args.mu, args.theta)
     result = {"mu": str(args.mu), "theta": str(args.theta), "symfun": _symfun_records(f)}
     return 0, result, [f"P[{args.mu}](theta={args.theta}) = {_symfun_text(f)}"]
@@ -189,6 +211,7 @@ def _cmd_jack(args):
 
 def _cmd_superjack(args):
     hp = HookParams(args.p, args.q)
+    _desk_scale("superjack", args.mu.size, hp)
     poly = super_jack(args.mu, hp, args.theta)
     result = {
         "mu": str(args.mu),
@@ -238,6 +261,7 @@ def _interp_lines(j) -> list:
 
 def _cmd_interp(args):
     hp = HookParams(args.p, args.q)
+    _desk_scale("interp", args.mu.size, hp)
     if args.mode is None:
         j = paper_or_top(args.mu, hp)
         return (3 if j.mode == "top" else 0), _interp_result(j), _interp_lines(j)
@@ -265,6 +289,7 @@ def _cmd_kmu(args):
 
 def _cmd_expand(args):
     hp = HookParams(args.p, args.q)
+    _desk_scale("expand", args.size, hp)
     report = expansion_identity(args.size, hp)
     entries = [
         {

@@ -9,10 +9,9 @@ is closed and exact.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -698,8 +697,7 @@ INCONSISTENT = "inconsistent"
 UNDERDETERMINED = "underdetermined"
 
 
-@dataclass(frozen=True)
-class LinearSolveOutcome:
+class LinearSolveOutcome(NamedTuple):
     tag: str
     solution: tuple | None = None
     nullspace: tuple | None = None

@@ -5,10 +5,11 @@ the exact verification suites."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 from superbc.exactalg import (
     INCONSISTENT,
@@ -50,25 +51,22 @@ _RES_EVAL_POINTS = 20
 _MAX_EXTRA_WINDOW = 3
 
 
-@dataclass(frozen=True)
-class GridPoint:
+class GridPoint(namedtuple("GridPoint", "hp space coords")):
     """Point of the evaluation space: p + q coordinates on the single-family
     space ("a"), or 2p + 2q on the doubled space ("h")."""
 
-    hp: HookParams
-    space: str
-    coords: tuple
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.space not in ("a", "h"):
-            raise ValueError(f"unknown space {self.space!r}")
-        want = self.hp.p + self.hp.q
-        if self.space == "h":
+    def __new__(cls, hp: HookParams, space: str, coords: tuple) -> "GridPoint":
+        if space not in ("a", "h"):
+            raise ValueError(f"unknown space {space!r}")
+        want = hp.p + hp.q
+        if space == "h":
             want *= 2
-        coords = tuple(Fraction(c) for c in self.coords)
+        coords = tuple(Fraction(c) for c in coords)
         if len(coords) != want:
             raise ValueError(f"expected {want} coordinates, got {len(coords)}")
-        object.__setattr__(self, "coords", coords)
+        return super().__new__(cls, hp, space, coords)
 
     def restrict(self) -> "GridPoint":
         """Push a doubled-space point down: paired coordinates (c+, c-)
@@ -131,8 +129,11 @@ def grid_point(lam: Partition, hp: HookParams) -> GridPoint:
     return GridPoint(hp, "a", tuple(2 * n + r for n, r in zip(nat, rho.coords)))
 
 
-@dataclass(frozen=True)
-class InterpolationResult:
+class InterpolationResult(NamedTuple):
+    """J_mu with what its construction reports.  `measured_top_coefficient`
+    holds the top coefficient the construction fixes, (-1/4)^{|mu|}; the
+    name is kept because it is a key of the CLI's structured output."""
+
     mu: Partition
     hp: HookParams
     poly: SparsePoly
@@ -265,8 +266,7 @@ def k_mu(mu: Partition) -> Fraction:
     return Fraction(-1) ** mu.size * c_factor(mu, 1, -1, "minus")
 
 
-@dataclass(frozen=True)
-class ShimuraImage:
+class ShimuraImage(NamedTuple):
     mu: Partition
     hp: HookParams
     poly: SparsePoly
@@ -282,8 +282,7 @@ def shimura_image(mu: Partition, hp: HookParams) -> ShimuraImage:
     return ShimuraImage(mu, hp, result.poly * k, result.mode, k, result)
 
 
-@dataclass(frozen=True)
-class ExpansionEntry:
+class ExpansionEntry(NamedTuple):
     nu: Partition
     coefficient: Fraction
     hook_product: Fraction
@@ -291,8 +290,7 @@ class ExpansionEntry:
     reciprocal: bool
 
 
-@dataclass(frozen=True)
-class ExpansionReport:
+class ExpansionReport(NamedTuple):
     m: int
     hp: HookParams
     entries: tuple
@@ -350,8 +348,7 @@ def derive_k(mu: Partition, hp: HookParams) -> Fraction:
     return Fraction(1, 2) ** mu.size * e / j.measured_top_coefficient
 
 
-@dataclass(frozen=True)
-class ConstantsRow:
+class ConstantsRow(NamedTuple):
     mu: Partition
     hp: HookParams
     mode: str
@@ -393,8 +390,7 @@ def constants_ledger(hp: HookParams, max_size: int) -> tuple:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class DiagonalRow:
+class DiagonalRow(NamedTuple):
     mu: Partition
     hp: HookParams
     value: Fraction
@@ -429,25 +425,25 @@ def diagonal_values(hp: HookParams, max_size: int) -> tuple:
 
 PROPERTIES = ("vanishing", "normalization", "even-symmetry", "expansion", "res-eval")
 
+# The desk-scale hook parameters of the verification suites and of the
+# computing CLI subcommands, whose size bounds were measured up to here.
+DESK_PQ = 3
 
-@dataclass(frozen=True)
-class VerifySpec:
-    prop: str
-    hp: HookParams
-    max_size: int = 3
-    window: int = 2
 
-    def __post_init__(self) -> None:
-        if self.prop not in PROPERTIES + ("all",):
-            raise ValueError(f"unknown property {self.prop!r}")
-        if not (0 <= self.max_size <= 6 and 0 <= self.window <= 4):
+class VerifySpec(namedtuple("VerifySpec", "prop hp max_size window")):
+    __slots__ = ()
+
+    def __new__(cls, prop: str, hp: HookParams, max_size: int = 3, window: int = 2) -> "VerifySpec":
+        if prop not in PROPERTIES + ("all",):
+            raise ValueError(f"unknown property {prop!r}")
+        if not (0 <= max_size <= 6 and 0 <= window <= 4):
             raise ValueError("bounds exceed desk scale (max_size <= 6, window <= 4)")
-        if self.hp.p > 3 or self.hp.q > 3:
-            raise ValueError("verification suites are desk scale: p, q <= 3")
+        if hp.p > DESK_PQ or hp.q > DESK_PQ:
+            raise ValueError(f"verification suites are desk scale: p, q <= {DESK_PQ}")
+        return super().__new__(cls, prop, hp, max_size, window)
 
 
-@dataclass(frozen=True)
-class VerifyRecord:
+class VerifyRecord(NamedTuple):
     prop: str
     p: int
     q: int
@@ -483,8 +479,7 @@ class VerifyRecord:
         return " ".join(bits)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     records: tuple
 
     @property

@@ -3,7 +3,7 @@ the truncation map onto (m + n)-tuples."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 
@@ -11,27 +11,26 @@ class NotAHook(ValueError):
     """Partition violates the (p, q)-hook constraint."""
 
 
-@dataclass(frozen=True)
-class HookParams:
+class HookParams(namedtuple("HookParams", "p q")):
     """Hook shape: p unconstrained rows, every later row of length <= q."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.p < 1 or self.q < 1:
-            raise ValueError(f"hook parameters must be positive, got ({self.p}, {self.q})")
+    def __new__(cls, p: int, q: int) -> "HookParams":
+        if p < 1 or q < 1:
+            raise ValueError(f"hook parameters must be positive, got ({p}, {q})")
+        return super().__new__(cls, p, q)
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(namedtuple("Partition", "parts")):
     """Weakly decreasing nonnegative integers; trailing zeros are stripped so
-    structural equality is mathematical equality."""
+    structural equality is mathematical equality.  Iteration, length and
+    membership range over the parts."""
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        parts = tuple(int(v) for v in self.parts)
+    def __new__(cls, parts=()) -> "Partition":
+        parts = tuple(int(v) for v in parts)
         if any(v < 0 for v in parts):
             raise ValueError(f"negative part in {parts!r}")
         n = len(parts)
@@ -40,7 +39,12 @@ class Partition:
         parts = parts[:n]
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts not weakly decreasing: {parts!r}")
-        object.__setattr__(self, "parts", parts)
+        return super().__new__(cls, parts)
+
+    def __reduce__(self) -> tuple:
+        # iteration yields the parts, so copy and pickle (every protocol)
+        # must not rebuild from tuple(self)
+        return (type(self), (self.parts,))
 
     @classmethod
     def of(cls, *parts: int) -> "Partition":
@@ -63,6 +67,9 @@ class Partition:
 
     def __len__(self) -> int:
         return len(self.parts)
+
+    def __contains__(self, v) -> bool:
+        return v in self.parts
 
     @property
     def size(self) -> int:

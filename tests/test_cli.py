@@ -1,13 +1,15 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import superbc.interpbc
-from superbc.cli import run
+from superbc.cli import _DESK_JACK_SIZE, _DESK_SIZE, _desk_scale, run
 from superbc.exactalg import INCONSISTENT, LinearSolveOutcome, SparsePoly
-from superbc.interpbc import interpolation_J
+from superbc.interpbc import DESK_PQ, interpolation_J
 from superbc.partitions import HookParams, Partition
 
 
@@ -133,6 +135,55 @@ def test_usage_errors_exit_2():
     assert spawn("kmu", "--mu", "2,2", "--p", "1", "--q", "1").returncode == 2  # not a hook
     assert spawn("jack", "--mu", "2", "--theta", "0").returncode == 2  # degenerate theta
     assert spawn("jack", "--mu", "2", "--theta", "-1").returncode == 2  # vanishing norm
+
+
+# one past each bound: every size bound of the table at (p, q) = (m, 1), where
+# it applies to max(p, q) = m, then p or q past DESK_PQ, then jack's bound
+_PAST_DESK = [
+    (command, "--size" if command == "expand" else "--mu", str(bound + 1), "--p", str(m), "--q", "1")
+    for command, bounds in _DESK_SIZE.items()
+    for m, bound in enumerate(bounds, 1)
+] + [
+    ("superjack", "--mu", "1", "--p", str(DESK_PQ + 1), "--q", "1"),
+    ("interp", "--mu", "1", "--p", "1", "--q", str(DESK_PQ + 1)),
+    ("expand", "--size", "1", "--p", str(DESK_PQ + 1), "--q", "1"),
+    ("jack", "--mu", str(_DESK_JACK_SIZE + 1)),
+]
+
+
+@pytest.mark.parametrize("argv", _PAST_DESK, ids=" ".join)
+def test_past_desk_scale_exits_2(argv, capsys):
+    # refused before any work, so none of these takes measurable time
+    code = run(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {argv[0]} is desk scale: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_desk_scale_bounds_admit_their_own_size(capsys):
+    for command, bounds in _DESK_SIZE.items():
+        for m, bound in enumerate(bounds, 1):
+            for hp in (HookParams(m, 1), HookParams(1, m), HookParams(m, m)):
+                _desk_scale(command, bound, hp)
+    _desk_scale("jack", _DESK_JACK_SIZE)
+    assert run(["interp", "--mu", "10", "--p", "2", "--q", "1"]) == 2
+    assert capsys.readouterr().err == "error: interp is desk scale: size <= 9 at (p, q) = (2, 1), got 10\n"
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # -S keeps site and .pth hooks from importing either on their own
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, superbc.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_internal_faults_exit_4(monkeypatch, capsys):

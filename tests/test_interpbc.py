@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -106,10 +109,26 @@ def test_grid_point_examples():
 
 
 def test_grid_point_arity_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("expected 2 coordinates, got 3")):
         GridPoint(HookParams(1, 1), "a", (1, 2, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("unknown space 'c'")):
         GridPoint(HookParams(1, 1), "c", (1, 2))
+
+
+def test_grid_point_record_semantics():
+    hp = HookParams(1, 1)
+    point = GridPoint(hp, "a", (1, 3))
+    assert point.coords == (Fraction(1), Fraction(3))
+    assert repr(point) == (
+        "GridPoint(hp=HookParams(p=1, q=1), space='a', coords=(Fraction(1, 1), Fraction(3, 1)))"
+    )
+    assert hash(point) == hash((hp, "a", (Fraction(1), Fraction(3))))
+    for name in ("coords", "space", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(point, name, ())
+    twins = [copy.deepcopy(point)]
+    twins += [pickle.loads(pickle.dumps(point, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    assert all(twin == point and type(twin) is GridPoint for twin in twins)
 
 
 # -- interpolation ---------------------------------------------------------------
@@ -418,9 +437,9 @@ def test_verify_all_deterministic():
 
 
 def test_verify_spec_bounds():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("bounds exceed desk scale (max_size <= 6, window <= 4)")):
         VerifySpec("vanishing", HookParams(1, 1), 9, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("unknown property 'nope'")):
         VerifySpec("nope", HookParams(1, 1), 2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("verification suites are desk scale: p, q <= 3")):
         VerifySpec("vanishing", HookParams(4, 1), 2, 2)

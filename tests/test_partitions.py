@@ -1,3 +1,6 @@
+import copy
+import pickle
+import re
 import time
 
 import pytest
@@ -36,9 +39,9 @@ def brute_partitions(d):
 def test_normalization_and_validation():
     assert Partition.of(3, 1, 0, 0) == Partition.of(3, 1)
     assert Partition().parts == ()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("parts not weakly decreasing: (1, 2)")):
         Partition.of(1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("negative part in (-1,)")):
         Partition.of(-1)
 
 
@@ -150,7 +153,44 @@ def test_lambda_natural_examples():
 
 
 def test_hook_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("hook parameters must be positive, got (0, 1)")):
         HookParams(0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("hook parameters must be positive, got (1, -1)")):
         HookParams(1, -1)
+
+
+# -- record semantics -----------------------------------------------------------
+
+
+def test_records_repr_and_hash():
+    mu, hp = Partition.of(2, 1), HookParams(2, 1)
+    assert repr(mu) == "Partition(parts=(2, 1))"
+    assert repr(Partition()) == "Partition(parts=())"
+    assert repr(hp) == "HookParams(p=2, q=1)"
+    # the hash of the field tuple, so set and dict orders follow the values
+    assert hash(mu) == hash(((2, 1),))
+    assert hash(hp) == hash((2, 1))
+
+
+def test_records_are_immutable():
+    mu, hp = Partition.of(2, 1), HookParams(2, 1)
+    for obj, name in ((mu, "parts"), (hp, "p"), (hp, "q"), (mu, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 3)
+    assert mu == Partition.of(2, 1) and hp == HookParams(2, 1)
+
+
+def test_partition_iterates_over_its_parts():
+    mu = Partition.of(3, 1, 1)
+    assert Partition(mu) == mu  # the Jack cache load rebuilds its keys so
+    assert list(mu) == [3, 1, 1] and len(mu) == 3
+    assert 1 in mu and 2 not in mu
+    assert list(Partition()) == [] and not Partition()
+
+
+def test_records_copy_and_pickle():
+    for obj in (Partition.of(3, 1, 1), Partition(), HookParams(2, 3)):
+        twins = [copy.copy(obj), copy.deepcopy(obj)]
+        twins += [pickle.loads(pickle.dumps(obj, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in twins:
+            assert twin == obj and type(twin) is type(obj) and hash(twin) == hash(obj)
