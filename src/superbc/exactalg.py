@@ -418,6 +418,24 @@ def _common_denominator(values) -> tuple:
     return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
+def _power_tables(points: Sequence, tops) -> list:
+    """For each coordinate v and its exponent bound top: [v^0, ..., v^top]."""
+    return [[v**k for k in range(top + 1)] for v, top in zip(points, tops)]
+
+
+def _sum_monomials(exponents, coeffs, tables):
+    """Sum of c * prod_i tables[i][e_i] over the paired exponent vectors e and
+    coefficients c: the one evaluation loop.  With integer coefficients and
+    integer tables the whole sum runs in Python integers."""
+    total = 0
+    for exps, c in zip(exponents, coeffs):
+        for table, e in zip(tables, exps):
+            if e:
+                c = c * table[e]
+        total = total + c
+    return total
+
+
 # ---------------------------------------------------------------------------
 # sparse multivariate polynomials
 
@@ -585,14 +603,8 @@ class SparsePoly:
         coeffs, den = terms.values(), 1
         if all(isinstance(c, Fraction) for c in coeffs):
             coeffs, den = _common_denominator(coeffs)
-        tables = [[v**k for k in range(top + 1)] for v, top in zip(points, map(max, zip(*terms)))]
-        total = 0
-        for exps, c in zip(terms, coeffs):
-            for table, e in zip(tables, exps):
-                if e:
-                    c = c * table[e]
-            total = total + c
-        total = as_scalar(total)
+        tables = _power_tables(points, map(max, zip(*terms)))
+        total = as_scalar(_sum_monomials(terms, coeffs, tables))
         return total if den == 1 else total / den
 
     def substitute(self, assignment: Mapping) -> "SparsePoly":

@@ -5,7 +5,7 @@ the exact verification suites."""
 from __future__ import annotations
 
 import random
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -15,6 +15,9 @@ from superbc.exactalg import (
     INCONSISTENT,
     SparsePoly,
     UNIQUE,
+    _common_denominator,
+    _power_tables,
+    _sum_monomials,
     as_scalar,
     solve_exact,
 )
@@ -22,6 +25,7 @@ from superbc.partitions import (
     HookParams,
     NotAHook,
     Partition,
+    _ValidatedRecord,
     enumerate_hooks,
     lambda_natural,
 )
@@ -48,10 +52,10 @@ class InconsistentSystem(ArithmeticError):
 
 _RES_EVAL_SEED = 0x5BC0
 _RES_EVAL_POINTS = 20
-_MAX_EXTRA_WINDOW = 3
+_MAX_EXTRA_WINDOW = 5
 
 
-class GridPoint(namedtuple("GridPoint", "hp space coords")):
+class GridPoint(_ValidatedRecord, namedtuple("GridPoint", "hp space coords")):
     """Point of the evaluation space: p + q coordinates on the single-family
     space ("a"), or 2p + 2q on the doubled space ("h")."""
 
@@ -150,9 +154,63 @@ def _sp_squared(nu: Partition, hp: HookParams) -> SparsePoly:
     return squared_substitution(super_jack(nu, hp, Fraction(1)), hp)
 
 
+# ---------------------------------------------------------------------------
+# grid kernel: the squared basis at the grid points, once per orbit
+#
+# Every SP_nu(x^2, y^2) is even in each variable, symmetric in the x's and in
+# the y's separately, and supersymmetric: where x_i^2 = y_j^2 its value does
+# not depend on that common value (verify even-symmetry checks all three).
+# So it takes one value on all the points with the same canonical point:
+# absolute values sorted within each family, and each pair |x_i| = |y_j|
+# replaced by a pair of zeros.  The grid points with one canonical point form
+# a grid orbit.
+
+
 @lru_cache(maxsize=None)
-def _basis_value(nu: Partition, lam: Partition, hp: HookParams) -> Fraction:
-    return _sp_squared(nu, hp).evaluate(grid_point(lam, hp).coords)
+def _integer_form(nu: Partition, hp: HookParams) -> tuple:
+    """SP_nu(x^2, y^2) as its exponent vectors, their integer numerators over
+    one common denominator, that denominator and the largest exponent."""
+    terms = _sp_squared(nu, hp).terms
+    nums, den = _common_denominator(terms.values())
+    return tuple(terms), nums, den, max(map(max, terms))
+
+
+@lru_cache(maxsize=None)
+def _grid_orbit(lam: Partition, hp: HookParams) -> tuple:
+    """lam's grid orbit as (hp, xs, ys): its canonical point, integer x's
+    then y's."""
+    coords = grid_point(lam, hp).coords
+    assert all(c.denominator == 1 for c in coords), coords
+    xs = Counter(abs(c.numerator) for c in coords[: hp.p])
+    ys = Counter(abs(c.numerator) for c in coords[hp.p :])
+    common = xs & ys
+    zeros = [0] * sum(common.values())
+    return (
+        hp,
+        tuple(sorted(zeros + list((xs - common).elements()))),
+        tuple(sorted(zeros + list((ys - common).elements()))),
+    )
+
+
+# grid orbit -> {nu: SP_nu(x^2, y^2) at the orbit}
+_orbit_values: dict = {}
+
+
+def _basis_values(nus, orbit: tuple) -> list:
+    """SP_nu(x^2, y^2) at the orbit's point for each nu in order.  The values
+    not yet known for the orbit are summed in integers over one shared power
+    table per variable, with one division per value."""
+    values = _orbit_values.setdefault(orbit, {})
+    missing = [nu for nu in nus if nu not in values]
+    if missing:
+        hp, xs, ys = orbit
+        point = xs + ys
+        forms = [_integer_form(nu, hp) for nu in missing]
+        top = max(form_top for *_, form_top in forms)
+        tables = _power_tables(point, [top] * len(point))
+        for nu, (exps, nums, den, _) in zip(missing, forms):
+            values[nu] = Fraction(_sum_monomials(exps, nums, tables), den)
+    return [values[nu] for nu in nus]
 
 
 def normalization_target(mu: Partition, hp: HookParams) -> Fraction:
@@ -184,19 +242,28 @@ def _fixed_top(mu: Partition) -> Fraction:
 
 def _vanishing_system(mu: Partition, hp: HookParams, window: int) -> tuple:
     """Unknowns, matrix and right-hand side of the system for J_mu: one row
-    J(grid(lam)) = 0 for each hook lam of size <= |mu| + window that does
-    not contain mu, in the squared basis below size |mu|, with the column of
-    the fixed top coefficient moved to the right-hand side."""
+    J(grid(lam)) = 0 for each grid orbit of the hooks lam of size
+    <= |mu| + window that do not contain mu, in the squared basis below size
+    |mu|, with the column of the fixed top coefficient moved to the
+    right-hand side.  A later lam in an orbit already seen would repeat an
+    earlier row exactly, so it is skipped."""
     d = mu.size
     top = _fixed_top(mu)
     unknowns = [nu for nu in enumerate_hooks(hp, d, "upto") if nu.size < d]
+    columns = unknowns + [mu]
+    seen = set()
     matrix = []
     rhs = []
     for lam in enumerate_hooks(hp, d + window, "upto"):
         if lam.contains(mu):
             continue
-        matrix.append([_basis_value(nu, lam, hp) for nu in unknowns])
-        rhs.append(-top * _basis_value(mu, lam, hp))
+        orbit = _grid_orbit(lam, hp)
+        if orbit in seen:
+            continue
+        seen.add(orbit)
+        *row, value = _basis_values(columns, orbit)
+        matrix.append(row)
+        rhs.append(-top * value)
     return unknowns, matrix, rhs
 
 
@@ -430,7 +497,7 @@ PROPERTIES = ("vanishing", "normalization", "even-symmetry", "expansion", "res-e
 DESK_PQ = 3
 
 
-class VerifySpec(namedtuple("VerifySpec", "prop hp max_size window")):
+class VerifySpec(_ValidatedRecord, namedtuple("VerifySpec", "prop hp max_size window")):
     __slots__ = ()
 
     def __new__(cls, prop: str, hp: HookParams, max_size: int = 3, window: int = 2) -> "VerifySpec":

@@ -11,7 +11,23 @@ class NotAHook(ValueError):
     """Partition violates the (p, q)-hook constraint."""
 
 
-class HookParams(namedtuple("HookParams", "p q")):
+class _ValidatedRecord:
+    """Base of the namedtuple records whose __new__ checks its fields: the
+    namedtuple helpers that rebuild a record go through that check too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
+    __replace__ = _replace  # copy.replace on Python 3.13+
+
+
+class HookParams(_ValidatedRecord, namedtuple("HookParams", "p q")):
     """Hook shape: p unconstrained rows, every later row of length <= q."""
 
     __slots__ = ()
@@ -22,7 +38,7 @@ class HookParams(namedtuple("HookParams", "p q")):
         return super().__new__(cls, p, q)
 
 
-class Partition(namedtuple("Partition", "parts")):
+class Partition(_ValidatedRecord, namedtuple("Partition", "parts")):
     """Weakly decreasing nonnegative integers; trailing zeros are stripped so
     structural equality is mathematical equality.  Iteration, length and
     membership range over the parts."""
@@ -45,6 +61,9 @@ class Partition(namedtuple("Partition", "parts")):
         # iteration yields the parts, so copy and pickle (every protocol)
         # must not rebuild from tuple(self)
         return (type(self), (self.parts,))
+
+    def _asdict(self) -> dict:
+        return {"parts": self.parts}
 
     @classmethod
     def of(cls, *parts: int) -> "Partition":

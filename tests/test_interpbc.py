@@ -109,10 +109,14 @@ def test_grid_point_examples():
 
 
 def test_grid_point_arity_validation():
-    with pytest.raises(ValueError, match=re.escape("expected 2 coordinates, got 3")):
-        GridPoint(HookParams(1, 1), "a", (1, 2, 3))
-    with pytest.raises(ValueError, match=re.escape("unknown space 'c'")):
-        GridPoint(HookParams(1, 1), "c", (1, 2))
+    hp = HookParams(1, 1)
+    point = GridPoint(hp, "a", (1, 2))
+    for build in (lambda: GridPoint(hp, "a", (1, 2, 3)), lambda: point._replace(coords=(1, 2, 3))):
+        with pytest.raises(ValueError, match=re.escape("expected 2 coordinates, got 3")):
+            build()
+    for build in (lambda: GridPoint(hp, "c", (1, 2)), lambda: GridPoint._make((hp, "c", (1, 2)))):
+        with pytest.raises(ValueError, match=re.escape("unknown space 'c'")):
+            build()
 
 
 def test_grid_point_record_semantics():
@@ -214,18 +218,19 @@ def test_one_more_window_step_keeps_the_coefficients():
 def _paper_system(mu, hp, window):
     # Reference system that imposes the normalization instead of checking it:
     # mu's own coefficient is an unknown, and a last row sets the value at
-    # grid(mu) to the target in place of a fixed top coefficient.
-    from superbc.interpbc import _basis_value
+    # grid(mu) to the target in place of a fixed top coefficient.  Its rows
+    # come from SparsePoly.evaluate at every grid point, not from the grid
+    # kernel, and repeat whenever two points share an orbit.
+    from superbc.interpbc import _sp_squared
+
+    def row(lam):
+        return [_sp_squared(nu, hp).evaluate(grid_point(lam, hp).coords) for nu in unknowns]
 
     unknowns = [nu for nu in enumerate_hooks(hp, mu.size, "upto") if nu.size < mu.size]
     unknowns.append(mu)
-    matrix = [
-        [_basis_value(nu, lam, hp) for nu in unknowns]
-        for lam in enumerate_hooks(hp, mu.size + window, "upto")
-        if not lam.contains(mu)
-    ]
+    matrix = [row(lam) for lam in enumerate_hooks(hp, mu.size + window, "upto") if not lam.contains(mu)]
     rhs = [Fraction(0)] * len(matrix)
-    matrix.append([_basis_value(nu, mu, hp) for nu in unknowns])
+    matrix.append(row(mu))
     rhs.append(normalization_target(mu, hp))
     return unknowns, matrix, rhs
 
@@ -255,6 +260,61 @@ def test_imposing_the_normalization_gives_the_same_j():
             assert dict(j.coefficients) == expected, (hp, mu)
             checked += 1
     assert checked == 59
+
+
+def test_grid_kernel_matches_evaluate():
+    from superbc.interpbc import _basis_values, _grid_orbit, _sp_squared
+
+    for hp in PAIRS:
+        nus = enumerate_hooks(hp, 4, "upto")
+        for lam in enumerate_hooks(hp, 6, "upto"):
+            point = grid_point(lam, hp).coords
+            expected = [_sp_squared(nu, hp).evaluate(point) for nu in nus]
+            assert _basis_values(nus, _grid_orbit(lam, hp)) == expected, (hp, lam)
+
+
+def test_grid_orbit_is_an_invariant_of_the_squared_basis():
+    from superbc.interpbc import _grid_orbit, _sp_squared
+
+    collisions = 0
+    for hp in PAIRS + [HookParams(3, 3)]:
+        first = {}
+        for lam in enumerate_hooks(hp, 6, "upto"):
+            first.setdefault(_grid_orbit(lam, hp), lam)
+        for lam in enumerate_hooks(hp, 6, "upto"):
+            twin = first[_grid_orbit(lam, hp)]
+            if twin == lam:
+                continue
+            collisions += 1
+            for nu in enumerate_hooks(hp, 4, "upto"):
+                poly = _sp_squared(nu, hp)
+                assert poly.evaluate(grid_point(lam, hp).coords) == poly.evaluate(
+                    grid_point(twin, hp).coords
+                ), (hp, nu, lam, twin)
+    assert collisions > 0
+
+
+def test_vanishing_system_has_no_repeated_rows():
+    from superbc.interpbc import _vanishing_system
+
+    for hp in PAIRS + [HookParams(3, 3)]:
+        for mu in enumerate_hooks(hp, 4, "upto"):
+            for window in range(3):
+                unknowns, matrix, rhs = _vanishing_system(mu, hp, window)
+                rows = [tuple(row) + (b,) for row, b in zip(matrix, rhs)]
+                assert len(set(rows)) == len(rows), (hp, mu, window)
+
+
+def test_window_cap_pins_j7_at_32():
+    # J_(7) at (3, 2) needs five extra window sizes
+    from superbc.interpbc import _MAX_EXTRA_WINDOW
+
+    hp, mu = HookParams(3, 2), P(7)
+    j = paper_or_top(mu, hp)
+    assert j.mode in ("paper", "top") and j.extended_grid_used
+    for lam in enumerate_hooks(hp, mu.size + _MAX_EXTRA_WINDOW, "upto"):
+        if not lam.contains(mu):
+            assert j.poly.evaluate(grid_point(lam, hp).coords) == 0, lam
 
 
 def test_vanishing_with_window():
@@ -437,8 +497,10 @@ def test_verify_all_deterministic():
 
 
 def test_verify_spec_bounds():
-    with pytest.raises(ValueError, match=re.escape("bounds exceed desk scale (max_size <= 6, window <= 4)")):
-        VerifySpec("vanishing", HookParams(1, 1), 9, 2)
+    spec = VerifySpec("vanishing", HookParams(1, 1), 2, 2)
+    for build in (lambda: VerifySpec("vanishing", HookParams(1, 1), 9, 2), lambda: spec._replace(max_size=9)):
+        with pytest.raises(ValueError, match=re.escape("bounds exceed desk scale (max_size <= 6, window <= 4)")):
+            build()
     with pytest.raises(ValueError, match=re.escape("unknown property 'nope'")):
         VerifySpec("nope", HookParams(1, 1), 2, 2)
     with pytest.raises(ValueError, match=re.escape("verification suites are desk scale: p, q <= 3")):

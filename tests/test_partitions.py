@@ -39,8 +39,14 @@ def brute_partitions(d):
 def test_normalization_and_validation():
     assert Partition.of(3, 1, 0, 0) == Partition.of(3, 1)
     assert Partition().parts == ()
-    with pytest.raises(ValueError, match=re.escape("parts not weakly decreasing: (1, 2)")):
-        Partition.of(1, 2)
+    # the namedtuple helpers rebuild through the same checks
+    for build in (
+        lambda: Partition.of(1, 2),
+        lambda: Partition._make([(1, 2)]),
+        lambda: Partition.of(3)._replace(parts=(1, 2)),
+    ):
+        with pytest.raises(ValueError, match=re.escape("parts not weakly decreasing: (1, 2)")):
+            build()
     with pytest.raises(ValueError, match=re.escape("negative part in (-1,)")):
         Partition.of(-1)
 
@@ -153,10 +159,14 @@ def test_lambda_natural_examples():
 
 
 def test_hook_params_validation():
-    with pytest.raises(ValueError, match=re.escape("hook parameters must be positive, got (0, 1)")):
-        HookParams(0, 1)
-    with pytest.raises(ValueError, match=re.escape("hook parameters must be positive, got (1, -1)")):
-        HookParams(1, -1)
+    for build in (lambda: HookParams(0, 1), lambda: HookParams(1, 1)._replace(p=0)):
+        with pytest.raises(ValueError, match=re.escape("hook parameters must be positive, got (0, 1)")):
+            build()
+    for build in (lambda: HookParams(1, -1), lambda: HookParams._make((1, -1))):
+        with pytest.raises(ValueError, match=re.escape("hook parameters must be positive, got (1, -1)")):
+            build()
+    assert HookParams(2, 1)._replace(q=3) == HookParams(2, 3)
+    assert HookParams._make([1, 2]) == HookParams(1, 2)
 
 
 # -- record semantics -----------------------------------------------------------
@@ -186,6 +196,9 @@ def test_partition_iterates_over_its_parts():
     assert list(mu) == [3, 1, 1] and len(mu) == 3
     assert 1 in mu and 2 not in mu
     assert list(Partition()) == [] and not Partition()
+    # the namedtuple helpers see the one field, not the parts
+    assert mu._asdict() == {"parts": (3, 1, 1)}
+    assert mu._replace() == mu and Partition._make([(3, 1, 1)]) == mu
 
 
 def test_records_copy_and_pickle():
