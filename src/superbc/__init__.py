@@ -7,6 +7,7 @@ from superbc.partitions import (
     HookParams,
     NotAHook,
     Partition,
+    UsageError,
     enumerate_hooks,
     lambda_natural,
     partitions_of,

@@ -1,9 +1,11 @@
 """Command-line front end: compute objects and run the verification suites,
 with canonical text or structured JSON output.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error or unusable
-cache path, 3 degenerate normalization (fallback used), 4 internal error
-(an exact computation that cannot fail did, e.g. an inconsistent system).
+Exit codes: 0 success, 1 verification failure, 2 usage error (a
+`UsageError`, or a `DegenerateParameter`: theta = 0 or a pole of the Jack
+polynomial asked for) or unusable cache path, 3 degenerate normalization
+(fallback used), 4 internal error (any other arithmetic or value error: an
+exact computation that cannot fail did, e.g. an inconsistent system).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from superbc.interpbc import (
     paper_or_top,
     verify_properties,
 )
-from superbc.partitions import HookParams, NotAHook, Partition, enumerate_hooks, sort_key
+from superbc.partitions import HookParams, Partition, UsageError, enumerate_hooks, sort_key
 from superbc.superpoly import super_jack
 from superbc.symmfunc import DegenerateParameter, jack_P, load_jack_cache, save_jack_cache
 
@@ -96,11 +98,16 @@ def _desk_scale(command: str, size: int, hp: HookParams | None = None) -> None:
     if hp is None:
         bound, where = _DESK_JACK_SIZE, ""
     elif hp.p > DESK_PQ or hp.q > DESK_PQ:
-        raise ValueError(f"{command} is desk scale: p, q <= {DESK_PQ}")
+        raise UsageError(f"{command} is desk scale: p, q <= {DESK_PQ}")
     else:
         bound, where = _DESK_SIZE[command][max(hp.p, hp.q) - 1], f" at (p, q) = ({hp.p}, {hp.q})"
     if size > bound:
-        raise ValueError(f"{command} is desk scale: size <= {bound}{where}, got {size}")
+        raise UsageError(f"{command} is desk scale: size <= {bound}{where}, got {size}")
+
+
+def _hook_argument(lam: Partition, hp: HookParams) -> None:
+    if not lam.is_hook(hp):
+        raise UsageError(f"{lam} is not a ({hp.p}, {hp.q})-hook partition")
 
 
 def _coeff_record(c) -> dict:
@@ -225,6 +232,7 @@ def _cmd_superjack(args):
 
 def _cmd_grid(args):
     hp = HookParams(args.p, args.q)
+    _hook_argument(args.lam, hp)
     point = grid_point(args.lam, hp)
     coords = [str(c) for c in point.coords]
     result = {"lambda": str(args.lam), "p": args.p, "q": args.q, "coordinates": coords}
@@ -262,6 +270,7 @@ def _interp_lines(j) -> list:
 def _cmd_interp(args):
     hp = HookParams(args.p, args.q)
     _desk_scale("interp", args.mu.size, hp)
+    _hook_argument(args.mu, hp)
     if args.mode is None:
         j = paper_or_top(args.mu, hp)
         return (3 if j.mode == "top" else 0), _interp_result(j), _interp_lines(j)
@@ -275,12 +284,13 @@ def _cmd_interp(args):
 
 def _cmd_kmu(args):
     if (args.p is None) != (args.q is None):
-        raise ValueError("--p and --q must be given together")
+        raise UsageError("--p and --q must be given together")
     k = k_mu(args.mu)
     result = {"mu": str(args.mu), "k": str(k)}
     lines = [f"k[{args.mu}] = {k}"]
     if args.p is not None:
         hp = HookParams(args.p, args.q)
+        _hook_argument(args.mu, hp)
         kd = derive_k(args.mu, hp)
         result.update({"p": args.p, "q": args.q, "k_derived": str(kd)})
         lines.append(f"k_derived[{args.mu}] at (p, q) = ({args.p}, {args.q}) = {kd}")
@@ -356,12 +366,13 @@ def run(argv=None) -> int:
             return _unusable_cache(cache_path, err)
     try:
         code, result, lines = args.func(args)
-    except (NotAHook, ValueError, ZeroDivisionError, DegenerateParameter) as err:
+    except (UsageError, DegenerateParameter) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except ArithmeticError as err:
+    except (ArithmeticError, ValueError) as err:
         # an exact computation that cannot fail did: an inconsistent
-        # vanishing system or a division that should have been exact
+        # vanishing system, a division that should have been exact, or a
+        # check on data the program built itself
         print(f"internal error: {err}", file=sys.stderr)
         return 4
     if cache_path:

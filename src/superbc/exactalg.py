@@ -193,6 +193,10 @@ class RatFunc:
         self.num = num_t
         self.den = den_t
 
+    def __reduce__(self) -> tuple:
+        # __slots__ alone leaves pickle protocols 0 and 1 without a state
+        return (RatFunc, (self.num, self.den))
+
     @staticmethod
     def _coeffs(v) -> tuple:
         if isinstance(v, RatFunc):
@@ -418,24 +422,6 @@ def _common_denominator(values) -> tuple:
     return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
-def _power_tables(points: Sequence, tops) -> list:
-    """For each coordinate v and its exponent bound top: [v^0, ..., v^top]."""
-    return [[v**k for k in range(top + 1)] for v, top in zip(points, tops)]
-
-
-def _sum_monomials(exponents, coeffs, tables):
-    """Sum of c * prod_i tables[i][e_i] over the paired exponent vectors e and
-    coefficients c: the one evaluation loop.  With integer coefficients and
-    integer tables the whole sum runs in Python integers."""
-    total = 0
-    for exps, c in zip(exponents, coeffs):
-        for table, e in zip(tables, exps):
-            if e:
-                c = c * table[e]
-        total = total + c
-    return total
-
-
 # ---------------------------------------------------------------------------
 # sparse multivariate polynomials
 
@@ -471,6 +457,10 @@ class SparsePoly:
             raise VariableMismatch(f"duplicate variable names: {vars_t!r}")
         self.vars = vars_t
         self.terms = add_terms(_checked_terms(vars_t, terms or {}))
+
+    def __reduce__(self) -> tuple:
+        # __slots__ alone leaves pickle protocols 0 and 1 without a state
+        return (SparsePoly, (self.vars, self.terms))
 
     @classmethod
     def _raw(cls, vars_t: tuple, terms: dict) -> "SparsePoly":
@@ -603,8 +593,14 @@ class SparsePoly:
         coeffs, den = terms.values(), 1
         if all(isinstance(c, Fraction) for c in coeffs):
             coeffs, den = _common_denominator(coeffs)
-        tables = _power_tables(points, map(max, zip(*terms)))
-        total = as_scalar(_sum_monomials(terms, coeffs, tables))
+        tables = [[v**k for k in range(top + 1)] for v, top in zip(points, map(max, zip(*terms)))]
+        total = 0
+        for exps, c in zip(terms, coeffs):
+            for table, e in zip(tables, exps):
+                if e:
+                    c = c * table[e]
+            total = total + c
+        total = as_scalar(total)
         return total if den == 1 else total / den
 
     def substitute(self, assignment: Mapping) -> "SparsePoly":

@@ -11,20 +11,12 @@ from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
 
-from superbc.exactalg import (
-    INCONSISTENT,
-    SparsePoly,
-    UNIQUE,
-    _common_denominator,
-    _power_tables,
-    _sum_monomials,
-    as_scalar,
-    solve_exact,
-)
+from superbc.exactalg import INCONSISTENT, SparsePoly, UNIQUE, as_scalar, solve_exact
 from superbc.partitions import (
     HookParams,
     NotAHook,
     Partition,
+    UsageError,
     _ValidatedRecord,
     enumerate_hooks,
     lambda_natural,
@@ -37,6 +29,7 @@ from superbc.superpoly import (
     res_map,
     squared_substitution,
     super_jack,
+    super_schur,
 )
 
 
@@ -167,15 +160,6 @@ def _sp_squared(nu: Partition, hp: HookParams) -> SparsePoly:
 
 
 @lru_cache(maxsize=None)
-def _integer_form(nu: Partition, hp: HookParams) -> tuple:
-    """SP_nu(x^2, y^2) as its exponent vectors, their integer numerators over
-    one common denominator, that denominator and the largest exponent."""
-    terms = _sp_squared(nu, hp).terms
-    nums, den = _common_denominator(terms.values())
-    return tuple(terms), nums, den, max(map(max, terms))
-
-
-@lru_cache(maxsize=None)
 def _grid_orbit(lam: Partition, hp: HookParams) -> tuple:
     """lam's grid orbit as (hp, xs, ys): its canonical point, integer x's
     then y's."""
@@ -192,25 +176,13 @@ def _grid_orbit(lam: Partition, hp: HookParams) -> tuple:
     )
 
 
-# grid orbit -> {nu: SP_nu(x^2, y^2) at the orbit}
-_orbit_values: dict = {}
-
-
 def _basis_values(nus, orbit: tuple) -> list:
-    """SP_nu(x^2, y^2) at the orbit's point for each nu in order.  The values
-    not yet known for the orbit are summed in integers over one shared power
-    table per variable, with one division per value."""
-    values = _orbit_values.setdefault(orbit, {})
-    missing = [nu for nu in nus if nu not in values]
-    if missing:
-        hp, xs, ys = orbit
-        point = xs + ys
-        forms = [_integer_form(nu, hp) for nu in missing]
-        top = max(form_top for *_, form_top in forms)
-        tables = _power_tables(point, [top] * len(point))
-        for nu, (exps, nums, den, _) in zip(missing, forms):
-            values[nu] = Fraction(_sum_monomials(exps, nums, tables), den)
-    return [values[nu] for nu in nus]
+    """SP_nu(x^2, y^2) at the orbit's point for each nu in order: the
+    super Schur polynomial at the squared coordinates, in integers by the
+    memoized branching rule."""
+    hp, xs, ys = orbit
+    squares = tuple(v * v for v in xs + ys)
+    return [Fraction(super_schur(nu, hp, squares)) for nu in nus]
 
 
 def normalization_target(mu: Partition, hp: HookParams) -> Fraction:
@@ -275,8 +247,9 @@ def interpolation_J(mu: Partition, hp: HookParams, mode: str = "paper") -> Inter
     coefficients are pinned to zero, and the vanishing conditions
     J(grid(lam)) = 0 for lam not containing mu determine the rest; an
     underdetermined system enlarges the window one size at a time.  The mode
-    only labels the result, and "paper" refuses a vanishing target.  The
-    value at grid(mu) is measured; `verify normalization` checks it.
+    only labels the result, and "paper" refuses a vanishing target; "top"
+    of a nondegenerate mu is "paper"'s result relabelled.  The value at
+    grid(mu) is measured; `verify normalization` checks it.
     """
     if mode not in ("paper", "top"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -287,6 +260,9 @@ def interpolation_J(mu: Partition, hp: HookParams, mode: str = "paper") -> Inter
         raise DegenerateNormalization(
             f"normalization target vanishes for mu = {mu} at (p, q) = ({hp.p}, {hp.q})"
         )
+    if mode == "top" and not degenerate:
+        # one J for both labels, through this cache
+        return interpolation_J(mu, hp, "paper")._replace(mode="top")
     for extra in range(_MAX_EXTRA_WINDOW + 1):
         unknowns, matrix, rhs = _vanishing_system(mu, hp, extra)
         outcome = solve_exact(matrix, rhs, ncols=len(unknowns))
@@ -502,11 +478,11 @@ class VerifySpec(_ValidatedRecord, namedtuple("VerifySpec", "prop hp max_size wi
 
     def __new__(cls, prop: str, hp: HookParams, max_size: int = 3, window: int = 2) -> "VerifySpec":
         if prop not in PROPERTIES + ("all",):
-            raise ValueError(f"unknown property {prop!r}")
+            raise UsageError(f"unknown property {prop!r}")
         if not (0 <= max_size <= 6 and 0 <= window <= 4):
-            raise ValueError("bounds exceed desk scale (max_size <= 6, window <= 4)")
+            raise UsageError("bounds exceed desk scale (max_size <= 6, window <= 4)")
         if hp.p > DESK_PQ or hp.q > DESK_PQ:
-            raise ValueError(f"verification suites are desk scale: p, q <= {DESK_PQ}")
+            raise UsageError(f"verification suites are desk scale: p, q <= {DESK_PQ}")
         return super().__new__(cls, prop, hp, max_size, window)
 
 

@@ -11,6 +11,12 @@ class NotAHook(ValueError):
     """Partition violates the (p, q)-hook constraint."""
 
 
+class UsageError(ValueError):
+    """A request outside what the package serves: a desk-scale bound, an
+    unpaired option or a non-hook argument.  The CLI exits 2 on it, and on
+    no other ValueError."""
+
+
 class _ValidatedRecord:
     """Base of the namedtuple records whose __new__ checks its fields: the
     namedtuple helpers that rebuild a record go through that check too."""

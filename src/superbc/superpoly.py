@@ -1,12 +1,13 @@
 """Two-family polynomial realizations: the homomorphism sending power sums to
-signed two-family power sums, super Jack polynomials, (even) supersymmetry
-predicates, the squared basis, and the restriction from doubled to single
-coordinates."""
+signed two-family power sums, super Jack polynomials and their theta = 1
+branching rule, (even) supersymmetry predicates, the squared basis, and the
+restriction from doubled to single coordinates."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from superbc.exactalg import SparsePoly, VariableMismatch, as_scalar
 from superbc.partitions import HookParams, Partition, sort_key
@@ -79,11 +80,79 @@ def phi_theta(f: SymFun, hp: HookParams, theta) -> SparsePoly:
     )
 
 
+# ---------------------------------------------------------------------------
+# theta = 1: the branching rule
+#
+# At theta = 1 the super Jack polynomial is Berele and Regev's hook Schur
+# polynomial hs_lam(x; -y): the sum over the fillings of lam by the letters
+# x1 < ... < xp < y1 < ... < yq, weakly increasing along rows and down
+# columns, with each x-letter at most once per column and each y-letter at
+# most once per row, of the product of the cell weights x_k and -y_l.  So
+# each x-letter adds a horizontal strip to the cells of the letters before
+# it, and each y-letter a vertical strip.
+
+
+@lru_cache(maxsize=None)
+def _strips(shape: Partition, vertical: bool) -> tuple:
+    """Pairs (rho, |shape / rho|) for every rho inside shape such that
+    shape / rho is a horizontal strip, or a vertical strip if `vertical`."""
+    if vertical:
+        return tuple((rho.transpose(), n) for rho, n in _strips(shape.transpose(), False))
+    parts = shape.parts
+    lows = parts[1:] + (0,)
+    return tuple(
+        (Partition(rho), shape.size - sum(rho))
+        for rho in product(*(range(lo, hi + 1) for lo, hi in zip(lows, parts)))
+    )
+
+
+def _letter_weight(k: int, hp: HookParams, point):
+    """Weight of the k-th letter (1-based): x_k, or -y_l for the l-th
+    y-letter, as a polynomial or, given a point, as its value there."""
+    sign = 1 if k <= hp.p else -1
+    if point is None:
+        names = a_variables(hp)
+        return SparsePoly.variable(names, names[k - 1]) * sign
+    return sign * point[k - 1]
+
+
+@lru_cache(maxsize=None)
+def _branching(k: int, shape: Partition, hp: HookParams, point):
+    """Sum over the fillings of shape by the first k letters of the product
+    of their weights: the sum over the rho with shape / rho a strip of the
+    k-th letter's kind of _branching(k - 1, rho) * w_k^|shape / rho|."""
+    n_x = min(k, hp.p)
+    if shape.part(n_x + 1) > k - n_x:
+        # not an (n_x, k - n_x)-hook, so no filling; for k = 0 every
+        # nonempty shape
+        return 0
+    if not k:
+        return 1
+    weight = _letter_weight(k, hp, point)
+    total = 0
+    for rho, n in _strips(shape, k > hp.p):
+        value = _branching(k - 1, rho, hp, point)
+        if value:
+            total = total + (value * weight**n if n else value)
+    return total
+
+
+def super_schur(lam: Partition, hp: HookParams, point=None):
+    """The super Jack polynomial at theta = 1, hs_lam(x; -y), by the
+    branching rule: a polynomial in x1..xp, y1..yq, or, given a point (a
+    tuple of p + q exact scalars), its value there."""
+    value = _branching(hp.p + hp.q, lam, hp, point)
+    return SparsePoly.zero(a_variables(hp)) + value if point is None else value
+
+
 @lru_cache(maxsize=None)
 def super_jack(lam: Partition, hp: HookParams, theta) -> SparsePoly:
     """Image of the Jack symmetric function under phi_theta; identically zero
-    exactly when lam is not a (p, q)-hook partition."""
+    exactly when lam is not a (p, q)-hook partition.  At theta = 1 it is
+    built by the branching rule, without the Jack expansion."""
     theta = as_scalar(theta)
+    if isinstance(theta, Fraction) and theta == 1:
+        return super_schur(lam, hp)
     return phi_theta(jack_P(lam, theta), hp, theta)
 
 

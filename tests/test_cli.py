@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import superbc.cli
 import superbc.interpbc
 from superbc.cli import _DESK_JACK_SIZE, _DESK_SIZE, _desk_scale, run
 from superbc.exactalg import INCONSISTENT, LinearSolveOutcome, SparsePoly
@@ -200,6 +201,37 @@ def test_internal_faults_exit_4(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 4 and captured.out == ""
     assert captured.err.startswith("internal error: vanishing system inconsistent")
+
+
+_USAGE_ERRORS = [
+    ("error: verification suites are desk scale: p, q <= 3", ("verify", "all", "--p", "4", "--q", "1")),
+    ("error: bounds exceed desk scale", ("verify", "vanishing", "--p", "1", "--q", "1", "--max-size", "7")),
+    ("error: bounds exceed desk scale", ("verify", "vanishing", "--p", "1", "--q", "1", "--window", "5")),
+    ("error: 2,2 is not a (1, 1)-hook partition", ("interp", "--mu", "2,2", "--p", "1", "--q", "1")),
+    ("error: --p and --q must be given together", ("kmu", "--mu", "1", "--q", "2")),
+    ("error: theta = 0 is a degenerate Jack parameter", ("superjack", "--mu", "2", "--p", "1", "--q", "1", "--theta", "0")),
+]
+
+
+@pytest.mark.parametrize("message, argv", _USAGE_ERRORS, ids=[" ".join(a) for _, a in _USAGE_ERRORS])
+def test_usage_errors_are_raised_where_they_are_detected(message, argv, capsys):
+    code = run(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(message) and len(captured.err.splitlines()) == 1
+
+
+def test_an_internal_value_error_exits_4(monkeypatch, capsys):
+    # only the usage errors exit 2; a ValueError from the program's own data
+    # is an internal fault
+    def broken(*args, **kwargs):
+        raise ValueError("parts not weakly decreasing: (1, 2)")
+
+    monkeypatch.setattr(superbc.cli, "expansion_identity", broken)
+    code = run(["expand", "--size", "2", "--p", "1", "--q", "1"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == "internal error: parts not weakly decreasing: (1, 2)\n"
 
 
 def test_verify_structured_determinism():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from superbc.exactalg import SparsePoly, THETA
+from superbc.exactalg import SparsePoly, THETA, solve_exact
 from superbc.partitions import HookParams, Partition, enumerate_hooks, partitions_of, sort_key
 from superbc.interpbc import (
     DegenerateNormalization,
@@ -28,7 +28,8 @@ from superbc.interpbc import (
     weyl_vectors,
 )
 from superbc.partitions import NotAHook
-from superbc.superpoly import is_even_supersymmetric
+from superbc.superpoly import is_even_supersymmetric, phi_theta, squared_substitution
+from superbc.symmfunc import jack_P
 
 P = Partition.of
 PAIRS = [HookParams(1, 1), HookParams(2, 1), HookParams(1, 2), HookParams(2, 2)]
@@ -263,13 +264,16 @@ def test_imposing_the_normalization_gives_the_same_j():
 
 
 def test_grid_kernel_matches_evaluate():
-    from superbc.interpbc import _basis_values, _grid_orbit, _sp_squared
+    # the expected values come from the theta = 1 Jack expansion through
+    # phi_theta, not from _sp_squared, which shares the kernel's branching rule
+    from superbc.interpbc import _basis_values, _grid_orbit
 
-    for hp in PAIRS:
+    for hp in PAIRS + [HookParams(3, 3)]:
         nus = enumerate_hooks(hp, 4, "upto")
+        basis = [squared_substitution(phi_theta(jack_P(nu, 1), hp, 1), hp) for nu in nus]
         for lam in enumerate_hooks(hp, 6, "upto"):
             point = grid_point(lam, hp).coords
-            expected = [_sp_squared(nu, hp).evaluate(point) for nu in nus]
+            expected = [poly.evaluate(point) for poly in basis]
             assert _basis_values(nus, _grid_orbit(lam, hp)) == expected, (hp, lam)
 
 
@@ -315,6 +319,28 @@ def test_window_cap_pins_j7_at_32():
     for lam in enumerate_hooks(hp, mu.size + _MAX_EXTRA_WINDOW, "upto"):
         if not lam.contains(mu):
             assert j.poly.evaluate(grid_point(lam, hp).coords) == 0, lam
+
+
+def test_top_and_paper_share_one_construction(monkeypatch):
+    # J_(4) at (2, 1) has a nonvanishing target and needs one extra window,
+    # so "paper" takes two solves; "top" then relabels it and solves nothing
+    import superbc.interpbc
+
+    solves = []
+
+    def counting_solve(*args, **kwargs):
+        solves.append(args)
+        return solve_exact(*args, **kwargs)
+
+    monkeypatch.setattr(superbc.interpbc, "solve_exact", counting_solve)
+    interpolation_J.cache_clear()
+    try:
+        paper = interpolation_J(P(4), HookParams(2, 1), "paper")
+        top = interpolation_J(P(4), HookParams(2, 1), "top")
+    finally:
+        interpolation_J.cache_clear()
+    assert len(solves) == 2 and paper.extended_grid_used
+    assert top == paper._replace(mode="top") and top.mode == "top"
 
 
 def test_vanishing_with_window():

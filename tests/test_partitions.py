@@ -207,3 +207,15 @@ def test_records_copy_and_pickle():
         twins += [pickle.loads(pickle.dumps(obj, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
         for twin in twins:
             assert twin == obj and type(twin) is type(obj) and hash(twin) == hash(obj)
+    # the J_mu records hold a SparsePoly, whose __slots__ once kept them from
+    # pickling at protocols 0 and 1; polynomials are not hashable
+    from superbc.exactalg import THETA, SparsePoly
+    from superbc.interpbc import paper_or_top, shimura_image
+
+    hp, mu = HookParams(2, 1), Partition.of(2, 1)
+    objs = (paper_or_top(mu, hp), shimura_image(mu, hp), SparsePoly(("x", "y"), {(1, 0): THETA, (0, 2): 3}))
+    for obj in objs:
+        twins = [copy.copy(obj), copy.deepcopy(obj)]
+        twins += [pickle.loads(pickle.dumps(obj, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in twins:
+            assert twin == obj and type(twin) is type(obj)

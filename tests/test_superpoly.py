@@ -18,8 +18,9 @@ from superbc.superpoly import (
     res_map,
     squared_substitution,
     super_jack,
+    super_schur,
 )
-from superbc.symmfunc import SymFun
+from superbc.symmfunc import SymFun, jack_P
 
 P = Partition.of
 ONE = Fraction(1)
@@ -172,6 +173,31 @@ def test_super_jack_at_one_is_the_hook_schur_polynomial():
                 expected = _hook_schur(lam, hp)
                 assert expected.is_zero() == (not lam.is_hook(hp))
                 assert super_jack(lam, hp, ONE) == expected, (lam, hp)
+
+
+def test_super_jack_at_one_matches_the_jack_route():
+    # super_jack builds theta = 1 by the branching rule; every other theta
+    # still goes through the Jack expansion and phi_theta, which stays the
+    # oracle here, on non-hooks (the zero polynomial) as well as hooks
+    cases = [((1, 1), 5), ((2, 1), 5), ((1, 2), 5), ((2, 2), 5), ((3, 3), 4)]
+    for (p, q), top in cases:
+        hp = HookParams(p, q)
+        for d in range(top + 1):
+            for lam in partitions_of(d):
+                expected = phi_theta(jack_P(lam, ONE), hp, ONE)
+                got = super_jack(lam, hp, ONE)
+                assert got == expected and got.vars == expected.vars, (lam, hp)
+                assert all(type(c) is Fraction for c in got.terms.values()), (lam, hp)
+
+
+def test_super_schur_at_a_point_is_the_polynomial_there():
+    rng = random.Random(11)
+    for hp in (HP11, HP21, HookParams(2, 2), HookParams(3, 3)):
+        for lam in enumerate_hooks(hp, 4, "upto"):
+            poly = super_schur(lam, hp)
+            for _ in range(3):
+                point = tuple(rng.randint(-5, 5) for _ in range(hp.p + hp.q))
+                assert super_schur(lam, hp, point) == poly.evaluate(point), (lam, hp, point)
 
 
 def lambda0_basis(hp, d):
