@@ -416,8 +416,8 @@ def add_products(pairs) -> dict:
 
 
 def _common_denominator(values) -> tuple:
-    """Fractions as integer numerators over the lcm of their denominators:
-    (numerators, lcm)."""
+    """Fractions (or ints) as integer numerators over the lcm of their
+    denominators: (numerators, lcm)."""
     den = lcm(*(v.denominator for v in values))
     return tuple(v.numerator * (den // v.denominator) for v in values), den
 
@@ -719,14 +719,15 @@ def solve_exact(matrix: Sequence[Sequence], rhs: Sequence, ncols: int | None = N
     and keeps intermediate growth polynomial.  Nullspace vectors are
     normalized so their first nonzero coordinate is 1.
 
-    When every entry is rational, each augmented row is scaled to integers
-    and repeated rows are dropped, so elimination runs in Python integers
-    with exact floor division; back-substitution then runs in Fractions.
-    Neither step changes the solution set, and the reported solution and
-    nullspace are determined by it, so the outcome is the rational one.
+    When every entry is rational (ints and Fractions), each augmented row
+    is scaled to integers and repeated rows are dropped, so elimination runs
+    in Python integers with exact floor division; back-substitution then
+    runs in Fractions.  Neither step changes the solution set, and the
+    reported solution and nullspace are determined by it, so the outcome is
+    the rational one.
     """
-    rows = [[as_scalar(v) for v in r] for r in matrix]
-    b = [as_scalar(v) for v in rhs]
+    rows = [list(r) for r in matrix]
+    b = list(rhs)
     if len(rows) != len(b):
         raise ValueError("matrix and right-hand side sizes differ")
     m = len(rows)
@@ -739,10 +740,11 @@ def solve_exact(matrix: Sequence[Sequence], rhs: Sequence, ncols: int | None = N
     else:
         n = ncols or 0
     aug = [rows[i] + [b[i]] for i in range(m)]
-    if all(isinstance(v, Fraction) for row in aug for v in row):
+    if all(isinstance(v, (int, Fraction)) for row in aug for v in row):
         aug = [list(row) for row in dict.fromkeys(_common_denominator(row)[0] for row in aug)]
         exact = operator.floordiv
     else:
+        aug = [[as_scalar(v) for v in row] for row in aug]
         exact = operator.truediv
     m = len(aug)
     piv_cols: list[int] = []

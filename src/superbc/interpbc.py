@@ -11,7 +11,7 @@ from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
 
-from superbc.exactalg import INCONSISTENT, SparsePoly, UNIQUE, as_scalar, solve_exact
+from superbc.exactalg import INCONSISTENT, SparsePoly, UNIQUE, add_terms, as_scalar, solve_exact
 from superbc.partitions import (
     HookParams,
     NotAHook,
@@ -23,6 +23,7 @@ from superbc.partitions import (
 )
 from superbc.superpoly import (
     a_variables,
+    factorial_super_schur,
     is_even_supersymmetric,
     power_sum,
     power_sum_doubled,
@@ -39,13 +40,13 @@ class DegenerateNormalization(ArithmeticError):
 
 
 class InconsistentSystem(ArithmeticError):
-    """The vanishing system has no solution; this signals an implementation
-    or convention fault and must never be swallowed."""
+    """An exact system that must be solvable is not, or contradicts the
+    closed form of J; this signals an implementation or convention fault and
+    must never be swallowed."""
 
 
 _RES_EVAL_SEED = 0x5BC0
 _RES_EVAL_POINTS = 20
-_MAX_EXTRA_WINDOW = 5
 
 
 class GridPoint(_ValidatedRecord, namedtuple("GridPoint", "hp space coords")):
@@ -128,8 +129,9 @@ def grid_point(lam: Partition, hp: HookParams) -> GridPoint:
 
 class InterpolationResult(NamedTuple):
     """J_mu with what its construction reports.  `measured_top_coefficient`
-    holds the top coefficient the construction fixes, (-1/4)^{|mu|}; the
-    name is kept because it is a key of the CLI's structured output."""
+    holds mu's coefficient in the squared basis, which the construction
+    fixes to (-1/4)^{|mu|}; the name is kept because it is a key of the
+    CLI's structured output."""
 
     mu: Partition
     hp: HookParams
@@ -182,7 +184,7 @@ def _basis_values(nus, orbit: tuple) -> list:
     memoized branching rule."""
     hp, xs, ys = orbit
     squares = tuple(v * v for v in xs + ys)
-    return [Fraction(super_schur(nu, hp, squares)) for nu in nus]
+    return [super_schur(nu, hp, squares) for nu in nus]
 
 
 def normalization_target(mu: Partition, hp: HookParams) -> Fraction:
@@ -193,8 +195,8 @@ def normalization_target(mu: Partition, hp: HookParams) -> Fraction:
     change of variables of the type BC interpolation polynomial indexed by
     mu'.  C^- is a hook-length product and hence transpose-invariant; C^+ is
     not, so the plain-index product (normalization_target_plain) agrees only
-    for self-conjugate mu.  J_mu never imposes this value, so the vanishing
-    construction decides empirically: every measured diagonal equals it.
+    for self-conjugate mu.  J_mu never imposes this value, so its closed
+    form decides empirically: every measured diagonal equals it.
     """
     return c_factor(mu, 1, -1, "minus") * c_factor(
         mu.transpose(), 2 * hp.q - 2 * hp.p, -1, "plus"
@@ -239,17 +241,42 @@ def _vanishing_system(mu: Partition, hp: HookParams, window: int) -> tuple:
     return unknowns, matrix, rhs
 
 
+def _squared_basis_coefficients(scaled: dict, hp: HookParams, d: int) -> dict:
+    """Integer coefficients b_nu of an integer term map in the squared basis
+    of the hooks nu of size <= d, by back-substitution.  SP_nu is
+    homogeneous of degree 2|nu|, its coefficient on its lead monomial
+    x^{2 nu_natural} is +-1 (one supertableau has that weight), and within
+    one size, in descending lead order, no SP_nu has a term on the lead of a
+    hook before it.  A remainder off their span is a fault."""
+    remainder = dict(scaled)
+    leads = {nu: tuple(2 * n for n in lambda_natural(nu, hp.p, hp.q))
+             for nu in enumerate_hooks(hp, d, "upto")}
+    coeffs = {}
+    for nu in sorted(leads, key=lambda nu: (nu.size, leads[nu]), reverse=True):
+        basis = _sp_squared(nu, hp).terms
+        # dividing by the lead coefficient +-1 is multiplying by it
+        b = coeffs[nu] = remainder.get(leads[nu], 0) * basis[leads[nu]].numerator
+        if b:
+            add_terms(((e, -b * v.numerator) for e, v in basis.items()), remainder)
+    if remainder:
+        raise InconsistentSystem(f"J is off the squared basis at (p, q) = ({hp.p}, {hp.q})")
+    return {nu: coeffs[nu] for nu in leads}
+
+
 @lru_cache(maxsize=None)
 def interpolation_J(mu: Partition, hp: HookParams, mode: str = "paper") -> InterpolationResult:
-    """Solve for J_mu in the squared super Jack basis of degree <= 2|mu|.
+    """J_mu as Molev's factorial supersymmetric Schur function in x^2, y^2
+    with the interpolation nodes, scaled to the top coefficient
+    (-1/4)^{|mu|}, and its coefficients in the squared super Jack basis.
 
-    The top coefficient is fixed to (-1/4)^{|mu|}, the other same-size
-    coefficients are pinned to zero, and the vanishing conditions
-    J(grid(lam)) = 0 for lam not containing mu determine the rest; an
-    underdetermined system enlarges the window one size at a time.  The mode
-    only labels the result, and "paper" refuses a vanishing target; "top"
-    of a nondegenerate mu is "paper"'s result relabelled.  The value at
-    grid(mu) is measured; `verify normalization` checks it.
+    One exact solve checks it: the vanishing conditions J(grid(lam)) = 0 for
+    the hooks lam of size <= |mu| not containing mu, with the top
+    coefficient fixed and the other same-size coefficients zero, either pin
+    J (and must give these coefficients) or leave it underdetermined, which
+    `extended_grid_used` reports; they never contradict it.  The mode only
+    labels the result, and "paper" refuses a vanishing target; "top" of a
+    nondegenerate mu is "paper"'s result relabelled.  The value at grid(mu)
+    is measured; `verify normalization` checks it.
     """
     if mode not in ("paper", "top"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -263,25 +290,24 @@ def interpolation_J(mu: Partition, hp: HookParams, mode: str = "paper") -> Inter
     if mode == "top" and not degenerate:
         # one J for both labels, through this cache
         return interpolation_J(mu, hp, "paper")._replace(mode="top")
-    for extra in range(_MAX_EXTRA_WINDOW + 1):
-        unknowns, matrix, rhs = _vanishing_system(mu, hp, extra)
-        outcome = solve_exact(matrix, rhs, ncols=len(unknowns))
-        if outcome.tag == UNIQUE:
-            break
-        if outcome.tag == INCONSISTENT:
-            raise InconsistentSystem(
-                f"vanishing system inconsistent for mu = {mu} at (p, q) = ({hp.p}, {hp.q})"
-            )
-    else:
+    # J is (-1/4)^{|mu|} = sign / den times an integer term map
+    sign, den = (-1) ** mu.size, 4 ** mu.size
+    scaled = factorial_super_schur(mu, hp)
+    poly = SparsePoly._raw(a_variables(hp), {e: Fraction(sign * c, den) for e, c in scaled.items()})
+    coeffs = {
+        nu: Fraction(sign * b, den)
+        for nu, b in _squared_basis_coefficients(scaled, hp, mu.size).items()
+    }
+    unknowns, matrix, rhs = _vanishing_system(mu, hp, 0)
+    outcome = solve_exact(matrix, rhs, ncols=len(unknowns))
+    if outcome.tag == INCONSISTENT:
         raise InconsistentSystem(
-            f"vanishing conditions never pinned J for mu = {mu} at (p, q) = ({hp.p}, {hp.q})"
+            f"vanishing system inconsistent for mu = {mu} at (p, q) = ({hp.p}, {hp.q})"
         )
-    hooks_d = enumerate_hooks(hp, mu.size, "upto")
-    coeffs = dict(zip(unknowns, outcome.solution))
-    coeffs[mu] = _fixed_top(mu)
-    poly = SparsePoly.linear_combination(
-        a_variables(hp), ((_sp_squared(nu, hp), c) for nu, c in coeffs.items() if c)
-    )
+    if outcome.tag == UNIQUE and list(outcome.solution) != [coeffs[nu] for nu in unknowns]:
+        raise InconsistentSystem(
+            f"vanishing system disagrees with the closed form for mu = {mu} at (p, q) = ({hp.p}, {hp.q})"
+        )
     return InterpolationResult(
         mu=mu,
         hp=hp,
@@ -290,8 +316,8 @@ def interpolation_J(mu: Partition, hp: HookParams, mode: str = "paper") -> Inter
         measured_top_coefficient=coeffs[mu],
         normalization_value=poly.evaluate(grid_point(mu, hp).coords),
         degenerate_normalization=degenerate,
-        extended_grid_used=extra > 0,
-        coefficients=tuple((nu, coeffs.get(nu, Fraction(0))) for nu in hooks_d),
+        extended_grid_used=outcome.tag != UNIQUE,
+        coefficients=tuple(coeffs.items()),
     )
 
 

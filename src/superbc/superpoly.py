@@ -1,6 +1,7 @@
 """Two-family polynomial realizations: the homomorphism sending power sums to
-signed two-family power sums, super Jack polynomials and their theta = 1
-branching rule, (even) supersymmetry predicates, the squared basis, and the
+signed two-family power sums, super Jack polynomials, the branching rule
+for their theta = 1 case and for the factorial supersymmetric Schur
+functions, (even) supersymmetry predicates, the squared basis, and the
 restriction from doubled to single coordinates."""
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from superbc.exactalg import SparsePoly, VariableMismatch, as_scalar
+from superbc.exactalg import SparsePoly, VariableMismatch, add_terms, as_scalar
 from superbc.partitions import HookParams, Partition, sort_key
 from superbc.symmfunc import SymFun, jack_P
 
@@ -81,7 +82,7 @@ def phi_theta(f: SymFun, hp: HookParams, theta) -> SparsePoly:
 
 
 # ---------------------------------------------------------------------------
-# theta = 1: the branching rule
+# the branching rule
 #
 # At theta = 1 the super Jack polynomial is Berele and Regev's hook Schur
 # polynomial hs_lam(x; -y): the sum over the fillings of lam by the letters
@@ -90,59 +91,100 @@ def phi_theta(f: SymFun, hp: HookParams, theta) -> SparsePoly:
 # most once per row, of the product of the cell weights x_k and -y_l.  So
 # each x-letter adds a horizontal strip to the cells of the letters before
 # it, and each y-letter a vertical strip.
+#
+# Shifting each weight by a node that depends on the letter and on the
+# content c = j - i of its cell (row i, column j, 0-based) gives Molev's
+# factorial supersymmetric Schur function.  In X = x^2 and Y = y^2, with
+# the cell weights X_k - (2(k + c) - 1)^2 for the x-letters and
+# (2(c - l) + 2p + 1)^2 - Y_l for the y-letters (the interpolation nodes),
+# it is (-4)^{|lam|} J_lam at k = -1 and h = q - p + 1/2.
 
 
 @lru_cache(maxsize=None)
 def _strips(shape: Partition, vertical: bool) -> tuple:
-    """Pairs (rho, |shape / rho|) for every rho inside shape such that
-    shape / rho is a horizontal strip, or a vertical strip if `vertical`."""
+    """Pairs (rho, contents) for every rho inside shape such that shape / rho
+    is a horizontal strip, or a vertical strip if `vertical`; contents lists
+    the content of each cell of shape / rho."""
     if vertical:
-        return tuple((rho.transpose(), n) for rho, n in _strips(shape.transpose(), False))
+        return tuple(
+            (rho.transpose(), tuple(-c for c in contents))
+            for rho, contents in _strips(shape.transpose(), False)
+        )
     parts = shape.parts
     lows = parts[1:] + (0,)
     return tuple(
-        (Partition(rho), shape.size - sum(rho))
+        (Partition(rho), tuple(j - i for i, (lo, hi) in enumerate(zip(rho, parts)) for j in range(lo, hi)))
         for rho in product(*(range(lo, hi + 1) for lo, hi in zip(lows, parts)))
     )
 
 
-def _letter_weight(k: int, hp: HookParams, point):
-    """Weight of the k-th letter (1-based): x_k, or -y_l for the l-th
-    y-letter, as a polynomial or, given a point, as its value there."""
+@lru_cache(maxsize=None)
+def _strip_weight(k: int, contents: tuple, hp: HookParams, interpolation: bool) -> tuple:
+    """Pairs (n, a) for the nonzero terms a * v^n of the product of the cell
+    weights of a strip of the k-th letter (1-based), a polynomial in that
+    letter's variable v: v for an x-letter and -v for a y-letter, or, with
+    the interpolation nodes, v^2 - node and node - v^2."""
     sign = 1 if k <= hp.p else -1
-    if point is None:
-        names = a_variables(hp)
-        return SparsePoly.variable(names, names[k - 1]) * sign
-    return sign * point[k - 1]
+    coeffs = [1]  # in u = v, or u = v^2 with the interpolation nodes
+    for c in contents:
+        if not interpolation:
+            node = 0
+        elif k <= hp.p:
+            node = (2 * (k + c) - 1) ** 2
+        else:
+            node = (2 * (c - k + hp.p) + 2 * hp.p + 1) ** 2
+        coeffs = [sign * (low - node * high) for low, high in zip([0] + coeffs, coeffs + [0])]
+    step = 2 if interpolation else 1
+    return tuple((step * n, a) for n, a in enumerate(coeffs) if a)
 
 
 @lru_cache(maxsize=None)
-def _branching(k: int, shape: Partition, hp: HookParams, point):
+def _branching(k: int, shape: Partition, hp: HookParams, interpolation: bool, point):
     """Sum over the fillings of shape by the first k letters of the product
-    of their weights: the sum over the rho with shape / rho a strip of the
-    k-th letter's kind of _branching(k - 1, rho) * w_k^|shape / rho|."""
+    of their cell weights: the sum over the rho with shape / rho a strip of
+    the k-th letter's kind of _branching(k - 1, rho) times the strip's
+    weight.  A map from exponent vectors in the first k letters' variables
+    to nonzero integers or, given a point (p + q integers), the integer
+    value there."""
     n_x = min(k, hp.p)
     if shape.part(n_x + 1) > k - n_x:
         # not an (n_x, k - n_x)-hook, so no filling; for k = 0 every
         # nonempty shape
-        return 0
+        return {} if point is None else 0
     if not k:
-        return 1
-    weight = _letter_weight(k, hp, point)
-    total = 0
-    for rho, n in _strips(shape, k > hp.p):
-        value = _branching(k - 1, rho, hp, point)
-        if value:
-            total = total + (value * weight**n if n else value)
+        return {(): 1} if point is None else 1
+    total = {} if point is None else 0
+    for rho, contents in _strips(shape, k > hp.p):
+        value = _branching(k - 1, rho, hp, interpolation, point)
+        if not value:
+            continue
+        weight = _strip_weight(k, contents, hp, interpolation)
+        if point is None:
+            # letter k's exponent is new to every term, so no two products
+            # share an exponent vector and only the sum over rho can cancel
+            add_terms(((e + (n,), c * a) for e, c in value.items() for n, a in weight), total)
+        else:
+            v = point[k - 1]
+            total += value * sum(a * v**n for n, a in weight)
     return total
 
 
 def super_schur(lam: Partition, hp: HookParams, point=None):
     """The super Jack polynomial at theta = 1, hs_lam(x; -y), by the
     branching rule: a polynomial in x1..xp, y1..yq, or, given a point (a
-    tuple of p + q exact scalars), its value there."""
-    value = _branching(hp.p + hp.q, lam, hp, point)
-    return SparsePoly.zero(a_variables(hp)) + value if point is None else value
+    tuple of p + q integers), its integer value there."""
+    value = _branching(hp.p + hp.q, lam, hp, False, point)
+    if point is not None:
+        return value
+    return SparsePoly._raw(a_variables(hp), {e: Fraction(c) for e, c in value.items()})
+
+
+def factorial_super_schur(lam: Partition, hp: HookParams) -> dict:
+    """Molev's factorial supersymmetric Schur function in X = x^2, Y = y^2
+    with the interpolation nodes, as a map from exponent vectors in
+    x1..xp, y1..yq (all even) to nonzero integers: the memo's own map, to
+    be read and not changed."""
+    return _branching(hp.p + hp.q, lam, hp, True, None)
 
 
 @lru_cache(maxsize=None)
@@ -160,7 +202,8 @@ def squared_substitution(f: SparsePoly, hp: HookParams) -> SparsePoly:
     """Substitute x_i -> x_i^2, y_j -> y_j^2 (exponent doubling)."""
     if f.vars != a_variables(hp):
         raise VariableMismatch(f"expected variables {a_variables(hp)!r}")
-    return SparsePoly(f.vars, {tuple(2 * e for e in exps): c for exps, c in f.terms.items()})
+    # doubling every exponent keeps a canonical term map canonical
+    return SparsePoly._raw(f.vars, {tuple(2 * e for e in exps): c for exps, c in f.terms.items()})
 
 
 def _swapped(f: SparsePoly, i: int) -> SparsePoly:

@@ -494,3 +494,31 @@ def test_rational_solve_agrees_with_the_function_field_solve():
         for coordinate in (fast.solution or ()) + sum(fast.nullspace or (), ()):
             assert type(coordinate) is Fraction
     assert tags == {UNIQUE, INCONSISTENT, UNDERDETERMINED} and empty
+
+
+def test_int_entries_solve_as_their_fractions():
+    # int entries reach the integer elimination as they are: all-int systems
+    # and rows mixing ints with Fractions have the outcome of the same system
+    # in Fractions, and the coordinates are still Fractions
+    rng = random.Random(20232)
+    mixed = 0
+    for _ in range(300):
+        rows, rhs, n = _random_system(rng)
+
+        def unlift(v):
+            return v.numerator if v.denominator == 1 and rng.random() < 0.5 else v
+
+        int_rows, int_rhs = [[unlift(v) for v in r] for r in rows], [unlift(v) for v in rhs]
+        out = solve_exact(int_rows, int_rhs, ncols=n)
+        assert out == solve_exact(rows, rhs, ncols=n), (int_rows, int_rhs)
+        for coordinate in (out.solution or ()) + sum(out.nullspace or (), ()):
+            assert type(coordinate) is Fraction
+        mixed += any(type(v) is int for r in int_rows for v in r)
+        # and the numerators alone, an all-int system
+        num_rows, num_rhs = [[v.numerator for v in r] for r in rows], [v.numerator for v in rhs]
+        assert solve_exact(num_rows, num_rhs, ncols=n) == solve_exact(
+            [[Fraction(v) for v in r] for r in num_rows], [Fraction(v) for v in num_rhs], ncols=n
+        ), (num_rows, num_rhs)
+    assert mixed
+    out = solve_exact([[2, 1], [0, 3]], [3, Fraction(3, 2)])
+    assert out.tag == UNIQUE and out.solution == (Fraction(5, 4), Fraction(1, 2))

@@ -28,7 +28,7 @@ from superbc.interpbc import (
     weyl_vectors,
 )
 from superbc.partitions import NotAHook
-from superbc.superpoly import is_even_supersymmetric, phi_theta, squared_substitution
+from superbc.superpoly import a_variables, is_even_supersymmetric, phi_theta, squared_substitution
 from superbc.symmfunc import jack_P
 
 P = Partition.of
@@ -195,25 +195,75 @@ def test_extended_grid_used():
     assert not j.extended_grid_used
 
 
+def _first_unique(system, mu, hp, cap=5):
+    # The vanishing construction J_mu had before the closed form: widen the
+    # window from 0 until the system pins J, at most `cap` extra sizes.
+    from superbc.exactalg import UNIQUE
+
+    for window in range(cap + 1):
+        unknowns, matrix, rhs = system(mu, hp, window)
+        outcome = solve_exact(matrix, rhs, ncols=len(unknowns))
+        if outcome.tag == UNIQUE:
+            return window, dict(zip(unknowns, outcome.solution))
+    raise AssertionError(f"no window up to {cap} pins J for mu = {mu}")
+
+
 def test_one_more_window_step_keeps_the_coefficients():
-    from superbc.exactalg import UNIQUE, solve_exact
+    from superbc.exactalg import UNIQUE
     from superbc.interpbc import _vanishing_system
 
     for hp in (HookParams(2, 1), HookParams(2, 2), HookParams(3, 3)):
         for mu in enumerate_hooks(hp, 4, "upto"):
             j = paper_or_top(mu, hp)
-            window = 0
-            while True:
-                unknowns, matrix, rhs = _vanishing_system(mu, hp, window)
-                first = solve_exact(matrix, rhs, ncols=len(unknowns))
-                if first.tag == UNIQUE:
-                    break
-                window += 1
+            window, solution = _first_unique(_vanishing_system, mu, hp)
             assert j.extended_grid_used == (window > 0)
-            assert dict(zip(unknowns, first.solution)).items() <= dict(j.coefficients).items()
+            assert solution.items() <= dict(j.coefficients).items()
             unknowns, matrix, rhs = _vanishing_system(mu, hp, window + 1)
             wider = solve_exact(matrix, rhs, ncols=len(unknowns))
-            assert wider.tag == UNIQUE and wider.solution == first.solution, (hp, mu)
+            assert wider.tag == UNIQUE and dict(zip(unknowns, wider.solution)) == solution, (hp, mu)
+
+
+def test_closed_form_j_is_the_windowed_vanishing_solve():
+    from superbc.interpbc import _sp_squared, _vanishing_system
+
+    def combination(pairs, hp):
+        return SparsePoly.linear_combination(a_variables(hp), ((_sp_squared(nu, hp), c) for nu, c in pairs))
+
+    checked = 0
+    for hp, max_size in [(hp, 5) for hp in PAIRS] + [(HookParams(3, 3), 4)]:
+        for mu in enumerate_hooks(hp, max_size, "upto"):
+            j = paper_or_top(mu, hp)
+            window, solution = _first_unique(_vanishing_system, mu, hp)
+            solution[mu] = Fraction(-1, 4) ** mu.size
+            assert j.poly == combination(solution.items(), hp), (hp, mu)
+            assert j.poly == combination(j.coefficients, hp), (hp, mu)
+            assert j.extended_grid_used == (window > 0), (hp, mu)
+            checked += 1
+    assert checked == 85
+
+
+def test_a_closed_form_the_checks_reject_is_an_internal_fault(monkeypatch):
+    import superbc.interpbc
+    from superbc.exactalg import UNIQUE, LinearSolveOutcome
+    from superbc.interpbc import InconsistentSystem
+
+    hp = HookParams(2, 1)
+    interpolation_J.cache_clear()
+    try:
+        # (1) is pinned at window 0; a solve that disagrees is a fault
+        monkeypatch.setattr(
+            superbc.interpbc, "solve_exact",
+            lambda *args, **kwargs: LinearSolveOutcome(UNIQUE, solution=(Fraction(5),)),
+        )
+        with pytest.raises(InconsistentSystem, match="disagrees with the closed form"):
+            interpolation_J(P(1), hp, "top")
+        monkeypatch.undo()
+        # a term off the squared basis: x1^2 alone is not supersymmetric
+        monkeypatch.setattr(superbc.interpbc, "factorial_super_schur", lambda mu, hp: {(1, 0, 0): 1})
+        with pytest.raises(InconsistentSystem, match="off the squared basis"):
+            interpolation_J(P(1), hp, "top")
+    finally:
+        interpolation_J.cache_clear()
 
 
 def _paper_system(mu, hp, window):
@@ -237,16 +287,7 @@ def _paper_system(mu, hp, window):
 
 
 def test_imposing_the_normalization_gives_the_same_j():
-    from superbc.exactalg import UNIQUE, solve_exact
     from superbc.interpbc import _vanishing_system
-
-    def first_unique(system, mu, hp):
-        for window in range(4):
-            unknowns, matrix, rhs = system(mu, hp, window)
-            outcome = solve_exact(matrix, rhs, ncols=len(unknowns))
-            if outcome.tag == UNIQUE:
-                return window, dict(zip(unknowns, outcome.solution))
-        raise AssertionError(f"no window pins J for mu = {mu}")
 
     checked = 0
     for hp, max_size in [(hp, 5) for hp in PAIRS] + [(HookParams(3, 3), 4)]:
@@ -254,8 +295,8 @@ def test_imposing_the_normalization_gives_the_same_j():
             if not normalization_target(mu, hp):
                 continue
             j = interpolation_J(mu, hp, "paper")
-            window, solution = first_unique(_paper_system, mu, hp)
-            assert window == first_unique(_vanishing_system, mu, hp)[0], (hp, mu)
+            window, solution = _first_unique(_paper_system, mu, hp, cap=3)
+            assert window == _first_unique(_vanishing_system, mu, hp, cap=3)[0], (hp, mu)
             assert j.extended_grid_used == (window > 0)
             expected = {nu: solution.get(nu, Fraction(0)) for nu, _ in j.coefficients}
             assert dict(j.coefficients) == expected, (hp, mu)
@@ -310,20 +351,18 @@ def test_vanishing_system_has_no_repeated_rows():
 
 
 def test_window_cap_pins_j7_at_32():
-    # J_(7) at (3, 2) needs five extra window sizes
-    from superbc.interpbc import _MAX_EXTRA_WINDOW
-
+    # a vanishing solve pins J_(7) at (3, 2) only with five extra window sizes
     hp, mu = HookParams(3, 2), P(7)
     j = paper_or_top(mu, hp)
     assert j.mode in ("paper", "top") and j.extended_grid_used
-    for lam in enumerate_hooks(hp, mu.size + _MAX_EXTRA_WINDOW, "upto"):
+    for lam in enumerate_hooks(hp, mu.size + 5, "upto"):
         if not lam.contains(mu):
             assert j.poly.evaluate(grid_point(lam, hp).coords) == 0, lam
 
 
 def test_top_and_paper_share_one_construction(monkeypatch):
-    # J_(4) at (2, 1) has a nonvanishing target and needs one extra window,
-    # so "paper" takes two solves; "top" then relabels it and solves nothing
+    # J_(4) at (2, 1) has a nonvanishing target, so "paper" takes its one
+    # window-0 check; "top" then relabels it and solves nothing
     import superbc.interpbc
 
     solves = []
@@ -336,10 +375,11 @@ def test_top_and_paper_share_one_construction(monkeypatch):
     interpolation_J.cache_clear()
     try:
         paper = interpolation_J(P(4), HookParams(2, 1), "paper")
+        assert len(solves) == 1 and paper.extended_grid_used
         top = interpolation_J(P(4), HookParams(2, 1), "top")
     finally:
         interpolation_J.cache_clear()
-    assert len(solves) == 2 and paper.extended_grid_used
+    assert len(solves) == 1
     assert top == paper._replace(mode="top") and top.mode == "top"
 
 

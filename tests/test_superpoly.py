@@ -9,6 +9,7 @@ from superbc.partitions import HookParams, Partition, enumerate_hooks, partition
 from superbc.superpoly import (
     ZeroTheta,
     a_variables,
+    factorial_super_schur,
     h_variables,
     is_even_supersymmetric,
     is_supersymmetric,
@@ -198,6 +199,61 @@ def test_super_schur_at_a_point_is_the_polynomial_there():
             for _ in range(3):
                 point = tuple(rng.randint(-5, 5) for _ in range(hp.p + hp.q))
                 assert super_schur(lam, hp, point) == poly.evaluate(point), (lam, hp, point)
+
+
+def _supertableaux_sum(lam, hp, node, power):
+    """Sum over the fillings of lam by x1 < .. < xp < y1 < .. < yq (rows and
+    columns weakly increasing, an x-letter at most once per column, a
+    y-letter at most once per row) of the product of the cell weights
+    v_k^power - node(k, c) (x-letters) and node(k, c) - v_k^power
+    (y-letters), c the content; enumerated cell by cell, without the
+    branching rule."""
+    from itertools import product
+
+    names = a_variables(hp)
+    cells = list(lam.boxes())
+    total = SparsePoly.zero(names)
+    for letters in product(range(1, hp.p + hp.q + 1), repeat=len(cells)):
+        filling = dict(zip(cells, letters))
+        ok = True
+        for (i, j), k in filling.items():
+            right, below = filling.get((i, j + 1)), filling.get((i + 1, j))
+            if right is not None and (right < k or (right == k and k > hp.p)):
+                ok = False
+            if below is not None and (below < k or (below == k and k <= hp.p)):
+                ok = False
+        if not ok:
+            continue
+        term = SparsePoly.constant(names, 1)
+        for (i, j), k in filling.items():
+            weight = SparsePoly.variable(names, names[k - 1]) ** power - node(k, j - i)
+            term = term * (weight if k <= hp.p else -weight)
+        total = total + term
+    return total
+
+
+def test_branching_rule_is_the_supertableaux_sum():
+    def interpolation(hp):
+        def node(k, c):
+            return (2 * (k + c) - 1) ** 2 if k <= hp.p else (2 * (c - (k - hp.p)) + 2 * hp.p + 1) ** 2
+
+        return node
+
+    for hp in (HP11, HP21, HookParams(1, 2), HookParams(2, 2)):
+        for lam in enumerate_hooks(hp, 4, "upto"):
+            assert super_schur(lam, hp) == _supertableaux_sum(lam, hp, lambda k, c: 0, 1), (lam, hp)
+            got = SparsePoly(a_variables(hp), factorial_super_schur(lam, hp))
+            assert got == _supertableaux_sum(lam, hp, interpolation(hp), 2), (lam, hp)
+
+
+def test_squared_substitution_is_the_validated_doubling():
+    hp = HookParams(3, 3)
+    for nu in enumerate_hooks(hp, 4, "upto"):
+        f = super_jack(nu, hp, ONE)
+        got = squared_substitution(f, hp)
+        expected = SparsePoly(f.vars, {tuple(2 * e for e in exps): c for exps, c in f.terms.items()})
+        assert got == expected and got.vars == expected.vars, nu
+        assert all(type(c) is Fraction and c for c in got.terms.values()), nu
 
 
 def lambda0_basis(hp, d):
