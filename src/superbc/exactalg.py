@@ -579,29 +579,42 @@ class SparsePoly:
         """Evaluate at a full assignment of exact scalars.
 
         One loop over the terms reads one power table per variable, built
-        for the call.  When every coefficient is rational the loop sums
-        their integer numerators over the common denominator and divides
-        once at the end; integer coordinates enter the tables as Python
-        integers, so at an integer point the whole sum runs in integers."""
+        for the call.  When every coefficient and coordinate is rational the
+        loop runs in Python integers: the coefficients enter as integer
+        numerators over their common denominator, and a coordinate n/d
+        whose variable reaches exponent top enters its table as
+        n^k d^(top - k), so every term carries the same factor prod d^top
+        and the sum is divided once at the end.  At an integer point every
+        d is 1 and the tables hold the plain powers.  A rational-function
+        coefficient or coordinate enters the same loop as it is."""
         if len(values) != len(self.vars):
             raise VariableMismatch(f"expected {len(self.vars)} values, got {len(values)}")
-        points = [
-            v.numerator if isinstance(v, Fraction) and v.denominator == 1 else v
-            for v in map(as_scalar, values)
-        ]
+        points = list(map(as_scalar, values))
         terms = self.terms
         coeffs, den = terms.values(), 1
-        if all(isinstance(c, Fraction) for c in coeffs):
+        rational = all(isinstance(v, Fraction) for v in points) and all(
+            isinstance(c, Fraction) for c in coeffs
+        )
+        if rational:
             coeffs, den = _common_denominator(coeffs)
-        tables = [[v**k for k in range(top + 1)] for v, top in zip(points, map(max, zip(*terms)))]
+        tables = []
+        for v, top in zip(points, map(max, zip(*terms))):
+            if isinstance(v, Fraction) and v.denominator == 1:
+                tables.append([v.numerator**k for k in range(top + 1)])
+            elif rational:
+                n, d = v.numerator, v.denominator
+                tables.append([n**k * d ** (top - k) for k in range(top + 1)])
+                den *= d**top
+            else:
+                tables.append([v**k for k in range(top + 1)])
         total = 0
         for exps, c in zip(terms, coeffs):
             for table, e in zip(tables, exps):
-                if e:
+                # table[0] is d^top: 1 unless the coordinate is a fraction
+                if e or table[0] != 1:
                     c = c * table[e]
             total = total + c
-        total = as_scalar(total)
-        return total if den == 1 else total / den
+        return Fraction(total, den) if rational else as_scalar(total)
 
     def substitute(self, assignment: Mapping) -> "SparsePoly":
         """Compose with polynomial or scalar images of selected variables.

@@ -241,26 +241,52 @@ def _vanishing_system(mu: Partition, hp: HookParams, window: int) -> tuple:
     return unknowns, matrix, rhs
 
 
-def _squared_basis_coefficients(scaled: dict, hp: HookParams, d: int) -> dict:
-    """Integer coefficients b_nu of an integer term map in the squared basis
-    of the hooks nu of size <= d, by back-substitution.  SP_nu is
-    homogeneous of degree 2|nu|, its coefficient on its lead monomial
-    x^{2 nu_natural} is +-1 (one supertableau has that weight), and within
-    one size, in descending lead order, no SP_nu has a term on the lead of a
-    hook before it.  A remainder off their span is a fault."""
-    remainder = dict(scaled)
-    leads = {nu: tuple(2 * n for n in lambda_natural(nu, hp.p, hp.q))
-             for nu in enumerate_hooks(hp, d, "upto")}
-    coeffs = {}
-    for nu in sorted(leads, key=lambda nu: (nu.size, leads[nu]), reverse=True):
+@lru_cache(maxsize=None)
+def _lead_order(hp: HookParams, size: int) -> tuple:
+    """The hooks nu of one size in enumeration order, and their back-
+    substitution order: triples (nu, lead, sign) in descending lead order,
+    where lead is the exponent vector x^{2 nu_natural} and sign the
+    coefficient +-1 of SP_nu on it (one supertableau has that weight).
+
+    Back-substitution rests on two facts, checked here: SP_nu is
+    homogeneous of degree 2|nu|, so it has no term on the lead of a hook of
+    another size, and it has no term on the lead of any hook before it in
+    this order.  Together they make the squared basis triangular with unit
+    diagonal, hence independent; a basis that breaks them is a fault."""
+    hooks = tuple(enumerate_hooks(hp, size, "exact"))
+    leads = {nu: tuple(2 * n for n in lambda_natural(nu, hp.p, hp.q)) for nu in hooks}
+    order = []
+    for nu in sorted(hooks, key=leads.get, reverse=True):
         basis = _sp_squared(nu, hp).terms
-        # dividing by the lead coefficient +-1 is multiplying by it
-        b = coeffs[nu] = remainder.get(leads[nu], 0) * basis[leads[nu]].numerator
-        if b:
-            add_terms(((e, -b * v.numerator) for e, v in basis.items()), remainder)
+        sign = basis.get(leads[nu])
+        if (
+            sign not in (1, -1)
+            or any(sum(e) != 2 * size for e in basis)
+            or any(earlier in basis for _, earlier, _ in order)
+        ):
+            raise InconsistentSystem(
+                f"the squared basis is not triangular on its leads at (p, q) = ({hp.p}, {hp.q})"
+            )
+        order.append((nu, leads[nu], sign.numerator))
+    return hooks, tuple(order)
+
+
+def _squared_basis_coefficients(scaled: dict, hp: HookParams, sizes) -> dict:
+    """Integer coefficients b_nu of an integer term map in the squared basis
+    of the hooks nu whose size is in `sizes`, in enumeration order, by
+    back-substitution: by size from the largest, and within one size in
+    the order of `_lead_order`.  A remainder off their span is a fault."""
+    remainder = dict(scaled)
+    coeffs = {}
+    for size in sorted(sizes, reverse=True):
+        for nu, lead, sign in _lead_order(hp, size)[1]:
+            # dividing by the lead coefficient +-1 is multiplying by it
+            b = coeffs[nu] = remainder.get(lead, 0) * sign
+            if b:
+                add_terms(((e, -b * v.numerator) for e, v in _sp_squared(nu, hp).terms.items()), remainder)
     if remainder:
-        raise InconsistentSystem(f"J is off the squared basis at (p, q) = ({hp.p}, {hp.q})")
-    return {nu: coeffs[nu] for nu in leads}
+        raise InconsistentSystem(f"term map off the squared basis at (p, q) = ({hp.p}, {hp.q})")
+    return {nu: coeffs[nu] for size in sorted(sizes) for nu in _lead_order(hp, size)[0]}
 
 
 @lru_cache(maxsize=None)
@@ -296,7 +322,7 @@ def interpolation_J(mu: Partition, hp: HookParams, mode: str = "paper") -> Inter
     poly = SparsePoly._raw(a_variables(hp), {e: Fraction(sign * c, den) for e, c in scaled.items()})
     coeffs = {
         nu: Fraction(sign * b, den)
-        for nu, b in _squared_basis_coefficients(scaled, hp, mu.size).items()
+        for nu, b in _squared_basis_coefficients(scaled, hp, range(mu.size + 1)).items()
     }
     unknowns, matrix, rhs = _vanishing_system(mu, hp, 0)
     outcome = solve_exact(matrix, rhs, ncols=len(unknowns))
@@ -370,25 +396,20 @@ class ExpansionReport(NamedTuple):
 def expansion_identity(m: int, hp: HookParams) -> ExpansionReport:
     """Expand (1/m!) (sum x_i^2 - sum y_j^2)^m exactly over the size-m squared
     basis and compare every measured coefficient e_nu against the hook
-    product C^-(1;-1) and against its reciprocal."""
+    product C^-(1;-1) and against its reciprocal.
+
+    The power has integer coefficients, so back-substitution on the leads
+    of the size-m squared basis expands it in integers, and m! divides once
+    at the end.  The remainder check proves that the expansion exists, and
+    the triangularity check of `_lead_order` that it is unique."""
     if m < 0:
         raise ValueError("the power must be nonnegative")
-    lhs = power_sum(2, hp) ** m * Fraction(1, factorial(m))
-    nus = enumerate_hooks(hp, m, "exact")
-    polys = [_sp_squared(nu, hp) for nu in nus]
-    monomials = set(lhs.terms)
-    for poly in polys:
-        monomials.update(poly.terms)
-    rows = sorted(monomials)
-    matrix = [[poly.terms.get(e, Fraction(0)) for poly in polys] for e in rows]
-    rhs = [lhs.terms.get(e, Fraction(0)) for e in rows]
-    outcome = solve_exact(matrix, rhs, ncols=len(nus))
-    if outcome.tag != UNIQUE:
-        raise InconsistentSystem(
-            f"squared basis failed to expand the power for m = {m} at (p, q) = ({hp.p}, {hp.q})"
-        )
+    power = {e: c.numerator for e, c in (power_sum(2, hp) ** m).terms.items()}
+    coeffs = _squared_basis_coefficients(power, hp, (m,))
+    scale = factorial(m)
     entries = []
-    for nu, e in zip(nus, outcome.solution):
+    for nu, b in coeffs.items():
+        e = Fraction(b, scale)
         c = c_factor(nu, 1, -1, "minus")
         entries.append(ExpansionEntry(nu, e, c, direct=(e == c), reciprocal=(e * c == 1)))
     if all(en.direct and en.reciprocal for en in entries):
@@ -665,8 +686,11 @@ def _verify_expansion(hp: HookParams, max_size: int) -> list:
 
 def _verify_res_eval(hp: HookParams) -> list:
     recs = []
+    images = {}  # r -> (p_r on the doubled space, its res_map image)
     for r in range(1, 7):
-        image = res_map(power_sum_doubled(r, hp), hp)
+        f = power_sum_doubled(r, hp)
+        image = res_map(f, hp)
+        images[r] = f, image
         if r % 2:
             expected = SparsePoly.zero(a_variables(hp))
         else:
@@ -678,8 +702,7 @@ def _verify_res_eval(hp: HookParams) -> list:
         )
     rng = random.Random(_RES_EVAL_SEED)
     for r in (2, 4, 6):
-        f = power_sum_doubled(r, hp)
-        g = res_map(f, hp)
+        f, g = images[r]
         for _ in range(_RES_EVAL_POINTS):
             a = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(hp.p)]
             b = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(hp.q)]

@@ -206,31 +206,38 @@ def squared_substitution(f: SparsePoly, hp: HookParams) -> SparsePoly:
     return SparsePoly._raw(f.vars, {tuple(2 * e for e in exps): c for exps, c in f.terms.items()})
 
 
-def _swapped(f: SparsePoly, i: int) -> SparsePoly:
-    """f with variables i and i + 1 exchanged."""
-    return SparsePoly(f.vars, {e[:i] + (e[i + 1], e[i]) + e[i + 2 :]: c for e, c in f.terms.items()})
-
-
 def _separately_symmetric(f: SparsePoly, hp: HookParams) -> bool:
-    # adjacent transpositions generate the symmetric group of each family
-    return all(_swapped(f, i) == f for i in range(hp.p + hp.q - 1) if i != hp.p - 1)
+    # adjacent transpositions generate the symmetric group of each family;
+    # a swap is a bijection on exponent vectors, so f is invariant under it
+    # exactly when every term's image is a term with the same coefficient
+    terms = f.terms
+    get = terms.get
+    return all(
+        get(e[:i] + (e[i + 1], e[i]) + e[i + 2 :]) == c
+        for i in range(hp.p + hp.q - 1)
+        if i != hp.p - 1
+        for e, c in terms.items()
+    )
 
 
 def _t_independent(f: SparsePoly, hp: HookParams, y_sign: int) -> bool:
-    # substitute x1 = t, y1 = y_sign * t and require that t disappears
-    target = ("t",) + f.vars[1 : hp.p] + f.vars[hp.p + 1 :]
-    t_poly = SparsePoly.variable(target, "t")
-    g = f.substitute({f.vars[0]: t_poly, f.vars[hp.p]: t_poly * y_sign})
-    ti = g.vars.index("t")
-    return all(e[ti] == 0 for e in g.terms)
-
-
-def _flip(f: SparsePoly, v: int) -> SparsePoly:
-    return SparsePoly(f.vars, {e: (-c if e[v] % 2 else c) for e, c in f.terms.items()})
+    # substitute x1 = t, y1 = y_sign * t: each term goes to t^(a + b) times
+    # (y_sign)^b times the rest, for the exponents a of x1 and b of y1.
+    # Images with a + b = 0 keep their terms apart from the others, so t
+    # disappears exactly when the images with a + b > 0 cancel.
+    p = hp.p
+    return not add_terms(
+        ((e[0] + e[p],) + e[1:p] + e[p + 1 :], -c if y_sign < 0 and e[p] % 2 else c)
+        for e, c in f.terms.items()
+        if e[0] or e[p]
+    )
 
 
 def _sign_invariant(f: SparsePoly) -> bool:
-    return all(_flip(f, v) == f for v in range(len(f.vars)))
+    # a sign change of v negates the terms odd in v, and canonical
+    # coefficients are nonzero, so f is invariant exactly when no term has
+    # an odd exponent
+    return not any(e % 2 for exps in f.terms for e in exps)
 
 
 def is_supersymmetric(f: SparsePoly, hp: HookParams, variant: str = "signed") -> bool:
@@ -260,18 +267,18 @@ def is_even_supersymmetric(f: SparsePoly, hp: HookParams) -> bool:
 
 def res_map(f: SparsePoly, hp: HookParams) -> SparsePoly:
     """Halving substitution x+-i -> +-x_i/2, y+-j -> +-y_j/2 from the doubled
-    variable list onto x1..xp, y1..yq."""
+    variable list onto x1..xp, y1..yq.
+
+    Each term goes to one term: the exponents of x+i and x-i add up to that
+    of x_i (likewise for y), and the coefficient gains the sign (-1)^(total
+    exponent on the minus variables) and the factor 2^-(degree)."""
     if f.vars != h_variables(hp):
         raise VariableMismatch(f"expected variables {h_variables(hp)!r}")
-    target = a_variables(hp)
-    half = Fraction(1, 2)
-    assignment = {}
-    for i in range(1, hp.p + 1):
-        xi = SparsePoly.variable(target, f"x{i}")
-        assignment[f"x+{i}"] = xi * half
-        assignment[f"x-{i}"] = xi * (-half)
-    for j in range(1, hp.q + 1):
-        yj = SparsePoly.variable(target, f"y{j}")
-        assignment[f"y+{j}"] = yj * half
-        assignment[f"y-{j}"] = yj * (-half)
-    return f.substitute(assignment)
+    p, q = hp.p, hp.q
+
+    def image(e: tuple, c) -> tuple:
+        xs, ys = e[: 2 * p], e[2 * p :]
+        exps = tuple(a + b for a, b in zip(xs[:p], xs[p:])) + tuple(a + b for a, b in zip(ys[:q], ys[q:]))
+        return exps, c * Fraction((-1) ** (sum(xs[p:]) + sum(ys[q:])), 2 ** sum(e))
+
+    return SparsePoly._raw(a_variables(hp), add_terms(image(e, c) for e, c in f.terms.items()))

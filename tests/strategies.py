@@ -29,8 +29,8 @@ def partitions(draw, max_part=6, max_length=5):
 
 
 @st.composite
-def sparse_polys(draw, variables=("x", "y"), max_exp=3, max_terms=5):
+def sparse_polys(draw, variables=("x", "y"), max_exp=3, max_terms=5, coeffs=rationals):
     n = len(variables)
     exps = st.tuples(*[st.integers(min_value=0, max_value=max_exp)] * n)
-    terms = draw(st.dictionaries(exps, rationals, max_size=max_terms))
+    terms = draw(st.dictionaries(exps, coeffs, max_size=max_terms))
     return SparsePoly(variables, terms)

@@ -333,7 +333,7 @@ def _evaluate_by_terms(f, values):
     for exps, c in f.terms.items():
         term = c
         for v, e in zip(values, exps):
-            term = term * Fraction(v) ** e
+            term = term * (v if isinstance(v, RatFunc) else Fraction(v)) ** e
         total = total + term
     return total
 
@@ -361,6 +361,49 @@ def test_evaluate_with_function_coefficients_matches_term_sum(f, point):
     assert got == _evaluate_by_terms(g, point)
     if any(not c.is_constant() for c in g.terms.values()):
         assert isinstance(got, RatFunc)
+
+
+def test_evaluate_edge_cases_match_term_sum():
+    xyz = ("x", "y", "z")
+    f = SparsePoly(xyz, {(3, 0, 1): Fraction(2, 3), (1, 2, 0): -5, (0, 0, 2): Fraction(-7, 4), (0, 1, 0): 1})
+    rational_cases = [
+        # a zero coordinate on a variable at its top exponent
+        (f, (0, Fraction(1, 2), Fraction(-3, 5))),
+        (f, (Fraction(2, 3), Fraction(-5, 7), 0)),
+        # negative numerators everywhere
+        (f, (Fraction(-1, 2), Fraction(-4, 3), Fraction(-9, 8))),
+        # mixed int and Fraction coordinates
+        (f, (3, Fraction(5, 6), -2)),
+        (f, (Fraction(6, 3), -1, Fraction(1, 9))),
+        # the zero polynomial and a constant
+        (SparsePoly.zero(xyz), (Fraction(1, 2), 3, Fraction(-2, 7))),
+        (SparsePoly.constant(xyz, Fraction(-5, 6)), (Fraction(1, 2), 3, 0)),
+        (SparsePoly.zero(()), ()),
+        (SparsePoly.constant((), 4), ()),
+    ]
+    for g, point in rational_cases:
+        got = g.evaluate(point)
+        assert type(got) is Fraction, (g, point)
+        assert got == _evaluate_by_terms(g, point), (g, point)
+    # rational-function coefficients, coordinates, or both
+    g = SparsePoly(xyz, {e: c * THETA - 1 for e, c in f.terms.items()})
+    for h, point in [
+        (g, (Fraction(1, 2), -3, 0)),
+        (f, (THETA, Fraction(-2, 3), 1)),
+        (f, (THETA / (THETA + 1), 0, Fraction(4, 5))),
+        (g, (THETA, 1 / THETA, Fraction(-1, 3))),
+    ]:
+        got = h.evaluate(point)
+        assert isinstance(got, RatFunc)
+        assert got == _evaluate_by_terms(h, point), (h, point)
+
+
+@given(sparse_polys(variables=("x", "y", "z"), max_exp=4, max_terms=8),
+       st.tuples(*[st.one_of(st.integers(min_value=-6, max_value=6), rationals)] * 3))
+def test_evaluate_at_mixed_points_matches_term_sum(f, point):
+    got = f.evaluate(point)
+    assert type(got) is Fraction
+    assert got == _evaluate_by_terms(f, point)
 
 
 def test_evaluate_squared_basis_at_grid_points():

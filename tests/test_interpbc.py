@@ -515,6 +515,74 @@ def test_expansion_reconstructs_lhs():
             assert lhs == rhs
 
 
+def _expansion_by_solve(m, hp):
+    """Reference: the size-m squared-basis coefficients of the power
+    (1/m!) p_2^m by one exact solve over all monomials, unique or None."""
+    from math import factorial
+
+    from superbc.exactalg import UNIQUE
+    from superbc.interpbc import _sp_squared
+    from superbc.superpoly import power_sum
+
+    lhs = power_sum(2, hp) ** m * Fraction(1, factorial(m))
+    polys = [_sp_squared(nu, hp) for nu in enumerate_hooks(hp, m, "exact")]
+    rows = sorted(set(lhs.terms).union(*(poly.terms for poly in polys)))
+    matrix = [[poly.terms.get(e, Fraction(0)) for poly in polys] for e in rows]
+    rhs = [lhs.terms.get(e, Fraction(0)) for e in rows]
+    outcome = solve_exact(matrix, rhs, ncols=len(polys))
+    return outcome.solution if outcome.tag == UNIQUE else None
+
+
+def test_expansion_back_substitution_is_the_exact_solve():
+    cases = [(HookParams(p, q), m) for p in (1, 2, 3) for q in (1, 2, 3) for m in range(5)]
+    cases.append((HookParams(3, 3), 5))
+    for hp, m in cases:
+        rep = expansion_identity(m, hp)
+        assert [en.nu for en in rep.entries] == enumerate_hooks(hp, m, "exact")
+        assert tuple(en.coefficient for en in rep.entries) == _expansion_by_solve(m, hp), (hp, m)
+
+
+@pytest.mark.parametrize("fault", ["earlier-lead-term", "lead-coefficient-2", "constant-term"])
+def test_a_squared_basis_off_its_leads_is_an_internal_fault(monkeypatch, capsys, fault):
+    import superbc.interpbc
+    from superbc.cli import run
+    from superbc.interpbc import InconsistentSystem, _lead_order, _sp_squared
+
+    hp, m = HookParams(2, 1), 3
+    _, order = _lead_order(hp, m)
+    (_, earlier_lead, _), (victim, victim_lead, _) = order[:2]
+    assert victim.size == m and earlier_lead not in _sp_squared(victim, hp).terms
+    # the victim gains a term on the lead of the hook before it, its own
+    # lead coefficient becomes 2, or it gains a term of degree 0, the lead
+    # of the empty hook
+    extra = {
+        "earlier-lead-term": {earlier_lead: Fraction(1)},
+        "lead-coefficient-2": {victim_lead: Fraction(2)},
+        "constant-term": {(0, 0, 0): Fraction(1)},
+    }[fault]
+
+    def sp_squared(nu, hp_):
+        poly = _sp_squared(nu, hp_)
+        if (nu, hp_) == (victim, hp):
+            return SparsePoly(poly.vars, {**poly.terms, **extra})
+        return poly
+
+    monkeypatch.setattr(superbc.interpbc, "_sp_squared", sp_squared)
+    expansion_identity.cache_clear()
+    _lead_order.cache_clear()
+    try:
+        with pytest.raises(InconsistentSystem, match="not triangular"):
+            expansion_identity(m, hp)
+        code = run(["expand", "--size", str(m), "--p", str(hp.p), "--q", str(hp.q)])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err.startswith("internal error: the squared basis is not triangular")
+    finally:
+        monkeypatch.undo()
+        expansion_identity.cache_clear()
+        _lead_order.cache_clear()
+
+
 def test_derive_k_examples():
     assert derive_k(Partition(), HookParams(1, 1)) == 1
     assert derive_k(P(1), HookParams(2, 1)) == -2

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from superbc.exactalg import SparsePoly, THETA, UNIQUE, VariableMismatch, solve_exact
 from superbc.interpbc import _sp_squared
@@ -22,6 +24,8 @@ from superbc.superpoly import (
     super_schur,
 )
 from superbc.symmfunc import SymFun, jack_P
+
+from .strategies import scalars, sparse_polys
 
 P = Partition.of
 ONE = Fraction(1)
@@ -333,3 +337,163 @@ def test_res_eval_random_points():
                 b = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(q)]
                 point = tuple(a) + tuple(-v for v in a) + tuple(b) + tuple(-v for v in b)
                 assert f.evaluate(point) == g.evaluate(tuple(2 * v for v in a + b))
+
+
+# -- term-map kernels against the substitution route -------------------------
+
+NINE = [HookParams(p, q) for p in (1, 2, 3) for q in (1, 2, 3)]
+
+
+def _res_map_by_substitution(f, hp):
+    """Reference: the halving substitution as a polynomial composition."""
+    target = a_variables(hp)
+    half = Fraction(1, 2)
+    assignment = {}
+    for i in range(1, hp.p + 1):
+        xi = SparsePoly.variable(target, f"x{i}")
+        assignment[f"x+{i}"] = xi * half
+        assignment[f"x-{i}"] = xi * (-half)
+    for j in range(1, hp.q + 1):
+        yj = SparsePoly.variable(target, f"y{j}")
+        assignment[f"y+{j}"] = yj * half
+        assignment[f"y-{j}"] = yj * (-half)
+    return f.substitute(assignment)
+
+
+@st.composite
+def _doubled_polys(draw):
+    hp = draw(st.sampled_from(NINE))
+    f = draw(sparse_polys(variables=h_variables(hp), max_exp=3, max_terms=8, coeffs=scalars))
+    return hp, f
+
+
+@given(_doubled_polys())
+def test_res_map_is_the_halving_substitution(case):
+    hp, f = case
+    assert res_map(f, hp) == _res_map_by_substitution(f, hp)
+
+
+def test_res_map_of_doubled_power_sums_is_the_halving_substitution():
+    for hp in NINE:
+        for r in range(1, 7):
+            f = power_sum_doubled(r, hp)
+            assert res_map(f, hp) == _res_map_by_substitution(f, hp), (hp, r)
+
+
+def _symmetric_by_rebuilding(f, hp):
+    def swapped(i):
+        return SparsePoly(f.vars, {e[:i] + (e[i + 1], e[i]) + e[i + 2 :]: c for e, c in f.terms.items()})
+
+    return all(swapped(i) == f for i in range(hp.p + hp.q - 1) if i != hp.p - 1)
+
+
+def _sign_invariant_by_rebuilding(f):
+    def flip(v):
+        return SparsePoly(f.vars, {e: (-c if e[v] % 2 else c) for e, c in f.terms.items()})
+
+    return all(flip(v) == f for v in range(len(f.vars)))
+
+
+def _t_independent_by_substitution(f, hp, y_sign):
+    target = ("t",) + f.vars[1 : hp.p] + f.vars[hp.p + 1 :]
+    t_poly = SparsePoly.variable(target, "t")
+    g = f.substitute({f.vars[0]: t_poly, f.vars[hp.p]: t_poly * y_sign})
+    ti = g.vars.index("t")
+    return all(e[ti] == 0 for e in g.terms)
+
+
+def _criteria_by_rebuilding(f, hp):
+    """Reference (symmetric, sign-invariant, t-independent for y1 = -t,
+    t-independent for y1 = +t), each by rebuilding or substituting."""
+    return (
+        _symmetric_by_rebuilding(f, hp),
+        _sign_invariant_by_rebuilding(f),
+        _t_independent_by_substitution(f, hp, -1),
+        _t_independent_by_substitution(f, hp, 1),
+    )
+
+
+def _assert_predicates_agree(f, hp):
+    from superbc.superpoly import _separately_symmetric, _sign_invariant, _t_independent
+
+    sym, sign, t_signed, t_plain = want = _criteria_by_rebuilding(f, hp)
+    got = (_separately_symmetric(f, hp), _sign_invariant(f), _t_independent(f, hp, -1), _t_independent(f, hp, 1))
+    assert got == want, (hp, f)
+    assert is_supersymmetric(f, hp, "signed") == (sym and t_signed)
+    assert is_supersymmetric(f, hp, "plain") == (sym and t_plain)
+    assert is_even_supersymmetric(f, hp) == (sym and sign and t_signed)
+    return want
+
+
+def _random_poly(rng, hp, max_exp, terms):
+    n = hp.p + hp.q
+    return SparsePoly(a_variables(hp), {
+        tuple(rng.randint(0, max_exp) for _ in range(n)): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        for _ in range(terms)
+    })
+
+
+def _symmetrized(f, hp):
+    """Sum of f over the permutations of each family separately."""
+    from itertools import permutations
+
+    out = SparsePoly.zero(f.vars)
+    for xs in permutations(range(hp.p)):
+        for ys in permutations(range(hp.p, hp.p + hp.q)):
+            perm = xs + ys
+            out = out + SparsePoly(f.vars, {tuple(e[k] for k in perm): c for e, c in f.terms.items()})
+    return out
+
+
+def test_supersymmetry_predicates_agree_with_the_rebuilding_route():
+    rng = random.Random(0x5E)
+    seen = set()
+    for hp in [HP11, HP21, HookParams(1, 2), HookParams(2, 2), HookParams(3, 2)]:
+        for _ in range(12):
+            noise = _random_poly(rng, hp, 3, 3)
+            # products of even and odd power sums: supersymmetric for both
+            # signs of the substitution only when the power is even
+            ps = SparsePoly.constant(a_variables(hp), 1)
+            for _ in range(rng.randint(1, 2)):
+                ps = ps * power_sum(rng.randint(1, 3), hp)
+            candidates = [
+                noise,
+                _symmetrized(noise, hp),
+                ps,
+                ps + noise,
+                squared_substitution(ps, hp),
+                squared_substitution(_symmetrized(noise, hp), hp),
+                ps * THETA,
+            ]
+            for f in candidates:
+                seen.add(_assert_predicates_agree(f, hp))
+        for nu in enumerate_hooks(hp, 3, "upto"):
+            seen.add(_assert_predicates_agree(_sp_squared(nu, hp), hp))
+            seen.add(_assert_predicates_agree(super_jack(nu, hp, ONE), hp))
+    # both outcomes of every criterion occurred
+    assert all({True, False} <= {want[k] for want in seen} for k in range(4))
+
+
+def test_crafted_polynomials_fail_exactly_one_criterion():
+    for hp in [HP11, HP21, HookParams(3, 2)]:
+        variables = a_variables(hp)
+        n = len(variables)
+
+        def monomial(k, e):
+            return SparsePoly.variable(variables, variables[k]) ** e
+
+        squares = [monomial(k, 2) for k in range(n)]
+        crafted = {
+            # t-independent, even, but not symmetric in the x's
+            0: monomial(hp.p - 1, 2) if hp.p > 1 else None,
+            # supersymmetric, but every term has an odd exponent
+            1: power_sum(1, hp),
+            # symmetric and even, but x1^2 + y1^2 becomes 2 t^2
+            2: sum(squares[1:], squares[0]),
+        }
+        for failing, f in crafted.items():
+            if f is None:
+                continue  # one-variable families are always symmetric
+            sym, sign, t_signed, _ = _assert_predicates_agree(f, hp)
+            assert [sym, sign, t_signed].count(False) == 1 and not (sym, sign, t_signed)[failing], (hp, f)
+            assert not is_even_supersymmetric(f, hp)
