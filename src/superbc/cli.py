@@ -1,18 +1,19 @@
 """Command-line front end: compute objects and run the verification suites,
 with canonical text or structured JSON output.
 
+A call depends only on its arguments: it reads and writes no file.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error (a
 `UsageError`, or a `DegenerateParameter`: theta = 0 or a pole of the Jack
-polynomial asked for) or unusable cache path, 3 degenerate normalization
-(fallback used), 4 internal error (any other arithmetic or value error: an
-exact computation that cannot fail did, e.g. an inconsistent system).
+polynomial asked for), 3 degenerate normalization (fallback used), 4
+internal error (any other arithmetic or value error: an exact computation
+that cannot fail did, e.g. an inconsistent system).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -34,7 +35,8 @@ from superbc.interpbc import (
 )
 from superbc.partitions import HookParams, Partition, UsageError, enumerate_hooks, sort_key
 from superbc.superpoly import super_jack
-from superbc.symmfunc import DegenerateParameter, jack_P, load_jack_cache, save_jack_cache
+# load_jack_cache is unused here; bench/tests/test_harness.py asserts the tracer rebinds it
+from superbc.symmfunc import DegenerateParameter, jack_P, load_jack_cache
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -89,8 +91,10 @@ def _partition(text: str) -> Partition:
 # usage error before any work.  Each is the largest size that ran in under 5 s
 # at the costliest (p, q) with the same max(p, q) <= DESK_PQ (indexed by
 # max(p, q) - 1); the next size took 6-10 s, and each size after it about
-# twice as long again or more.
+# twice as long again or more.  kmu with --p and --q does expand's work;
+# without them it is a hook product and has no bound.
 _DESK_SIZE = {"interp": (14, 9, 8), "superjack": (17, 16, 13), "expand": (17, 12, 7)}
+_DESK_SIZE["kmu"] = _DESK_SIZE["expand"]
 _DESK_JACK_SIZE = 17
 
 
@@ -138,8 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"superbc {superbc.__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "structured"), default="text")
-    common.add_argument("--cache", default=None, metavar="PATH",
-                        help="jack expansion cache file (or set SUPERBC_CACHE)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("hooks", parents=[common], help="enumerate (p, q)-hook partitions")
@@ -290,6 +292,7 @@ def _cmd_kmu(args):
     lines = [f"k[{args.mu}] = {k}"]
     if args.p is not None:
         hp = HookParams(args.p, args.q)
+        _desk_scale("kmu", args.mu.size, hp)
         _hook_argument(args.mu, hp)
         kd = derive_k(args.mu, hp)
         result.update({"p": args.p, "q": args.q, "k_derived": str(kd)})
@@ -334,7 +337,7 @@ def _cmd_verify(args):
 
 
 def _invocation(args) -> dict:
-    skip = {"func", "format", "cache"}
+    skip = {"func", "format"}
     out = {"subcommand": args.command}
     for key, val in sorted(vars(args).items()):
         if key in skip or key == "command" or val is None:
@@ -345,25 +348,9 @@ def _invocation(args) -> dict:
     return out
 
 
-def _unusable_cache(path, err: OSError) -> int:
-    print(f"error: cannot use cache file {path}: {err.strerror or err}", file=sys.stderr)
-    return 2
-
-
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_glue_negative_rationals(sys.argv[1:] if argv is None else list(argv)))
-    cache_path = args.cache or os.environ.get("SUPERBC_CACHE")
-    if cache_path and os.path.exists(cache_path):
-        try:
-            load_jack_cache(cache_path)
-        except ValueError as err:
-            print(
-                f"warning: ignoring cache file {cache_path}, which does not parse: {err}",
-                file=sys.stderr,
-            )
-        except OSError as err:
-            return _unusable_cache(cache_path, err)
     try:
         code, result, lines = args.func(args)
     except (UsageError, DegenerateParameter) as err:
@@ -375,11 +362,6 @@ def run(argv=None) -> int:
         # check on data the program built itself
         print(f"internal error: {err}", file=sys.stderr)
         return 4
-    if cache_path:
-        try:
-            save_jack_cache(cache_path)
-        except OSError as err:
-            return _unusable_cache(cache_path, err)
     if args.format == "structured":
         payload = {
             "tool": "superbc",

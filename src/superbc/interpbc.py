@@ -431,11 +431,12 @@ def _expansion_coefficient(mu: Partition, hp: HookParams) -> Fraction:
 
 def derive_k(mu: Partition, hp: HookParams) -> Fraction:
     """Constant implied by the measured quantities: (2^{-|mu|} e_mu) / t_mu,
-    with e_mu the expansion coefficient and t_mu the measured top coefficient
-    of J_mu."""
-    j = paper_or_top(mu, hp)  # raises NotAHook before the e_mu lookup
-    e = _expansion_coefficient(mu, hp)
-    return Fraction(1, 2) ** mu.size * e / j.measured_top_coefficient
+    with e_mu the expansion coefficient and t_mu the top coefficient of J_mu.
+    The construction fixes t_mu = (-1/4)^{|mu|}, so this is (-2)^{|mu|} e_mu
+    and builds no J."""
+    if not mu.is_hook(hp):
+        raise NotAHook(f"{mu} is not a ({hp.p}, {hp.q})-hook partition")
+    return (-2) ** mu.size * _expansion_coefficient(mu, hp)
 
 
 class ConstantsRow(NamedTuple):

@@ -334,7 +334,9 @@ def jack_P(lam: Partition, theta=THETA) -> SymFun:
 
 
 # ---------------------------------------------------------------------------
-# optional on-disk persistence of the expansion cache
+# on-disk persistence of the expansion cache: library functions only (the
+# CLI reads and writes no file); they stay because the benchmark tracer in
+# bench/tracing.py wraps save_jack_cache and load_jack_cache
 
 
 def _scalar_to_json(c):
@@ -394,10 +396,12 @@ def save_jack_cache(path) -> None:
 
 def load_jack_cache(path) -> int:
     """Merge a persisted cache; returns the number of entries loaded.  The
-    whole file is parsed before anything is merged, so a file that fails to
-    parse, or is valid JSON of another shape (a number where the format has
-    a string, for one), raises ValueError and leaves the in-memory cache
-    untouched."""
+    loaded coefficients are used as they are, without recomputation, so a
+    file with a wrong coefficient makes `jack_P` wrong: load only a file
+    this package saved.  The whole file is parsed before anything is
+    merged, so a file that fails to parse, or is valid JSON of another shape
+    (a number where the format has a string, for one), raises ValueError
+    and leaves the in-memory cache untouched."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     loaded = []

@@ -148,6 +148,7 @@ _PAST_DESK = [
     ("superjack", "--mu", "1", "--p", str(DESK_PQ + 1), "--q", "1"),
     ("interp", "--mu", "1", "--p", "1", "--q", str(DESK_PQ + 1)),
     ("expand", "--size", "1", "--p", str(DESK_PQ + 1), "--q", "1"),
+    ("kmu", "--mu", "1", "--p", str(DESK_PQ + 1), "--q", "1"),
     ("jack", "--mu", str(_DESK_JACK_SIZE + 1)),
 ]
 
@@ -243,99 +244,50 @@ def test_verify_structured_determinism():
     assert len(first.stdout) > 0
 
 
-def test_cache_file(tmp_path, capsys):
+# a file of the layout that `symmfunc.save_jack_cache` writes, with the
+# m[1,1] coefficient of P[2] at theta = 1/2 changed from 2/3 to 7
+_TAMPERED_CACHE = json.dumps({"format": 1, "entries": [{
+    "partition": "2", "theta": "1/2",
+    "m": [{"partition": "2", "coefficient": "1"}, {"partition": "1,1", "coefficient": "7"}],
+}]})
+
+
+def test_a_cache_file_in_the_environment_changes_no_output(tmp_path):
+    path = tmp_path / "tampered.json"
+    path.write_text(_TAMPERED_CACHE)
+    out = spawn("jack", "--mu", "2", "--theta", "1/2", env=dict(os.environ, SUPERBC_CACHE=str(path)))
+    assert out.returncode == 0 and out.stderr == ""
+    assert out.stdout == "P[2](theta=1/2) = 2/3*p[2] + 1/3*p[1,1]\n"
+    assert path.read_text() == _TAMPERED_CACHE
+
+
+def test_no_cache_file_is_written(tmp_path):
     path = tmp_path / "cache.json"
-    code, _ = invoke(capsys, "jack", "--mu", "3,1", "--theta", "1", "--cache", str(path))
-    assert code == 0
-    data = json.loads(path.read_text())
-    assert any(e["partition"] == "3,1" for e in data["entries"])
-    code, _ = invoke(capsys, "jack", "--mu", "3,1", "--theta", "1", "--cache", str(path))
-    assert code == 0
-
-
-def test_cache_env_var(tmp_path):
-    import os
-
-    path = tmp_path / "cache.json"
-    env = dict(os.environ, SUPERBC_CACHE=str(path))
-    out = spawn("jack", "--mu", "2", "--theta", "1", env=env)
+    out = spawn("jack", "--mu", "3,1", "--theta", "1", env=dict(os.environ, SUPERBC_CACHE=str(path)))
     assert out.returncode == 0
-    assert path.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_unreadable_cache_is_ignored(tmp_path):
-    path = tmp_path / "cache.json"
-    path.write_text('{"format": 1, "entries": [')
-    args = ("jack", "--mu", "2,1", "--theta", "1")
-    fresh = spawn(*args)
-    out = spawn(*args, "--cache", str(path))
-    assert out.returncode == fresh.returncode == 0
-    assert out.stdout == fresh.stdout
-    assert out.stderr.startswith("warning:")
-    assert json.loads(path.read_text())["format"] == 1
+_ONE_CALL_EACH = [
+    ("hooks", "--p", "1", "--q", "1", "--size", "2"),
+    ("jack", "--mu", "2"),
+    ("superjack", "--mu", "2", "--p", "1", "--q", "1"),
+    ("grid", "--lambda", "1", "--p", "1", "--q", "1"),
+    ("interp", "--mu", "1", "--p", "2", "--q", "1"),
+    ("kmu", "--mu", "2"),
+    ("expand", "--size", "2", "--p", "1", "--q", "1"),
+    ("verify", "all", "--p", "1", "--q", "1", "--max-size", "1"),
+]
 
 
-def test_cache_file_failing_to_parse_is_ignored_whole(tmp_path):
-    # A well-formed but wrong first entry followed by an unparseable one: the
-    # first must not be merged and used.
-    path = tmp_path / "cache.json"
-    poisoned = {"partition": "2", "theta": "1", "m": [{"partition": "2", "coefficient": "7"}]}
-    broken = {"partition": "1,1", "theta": "x", "m": []}
-    path.write_text(json.dumps({"format": 1, "entries": [poisoned, broken]}))
-    args = ("jack", "--mu", "2", "--theta", "1")
-    fresh = spawn(*args)
-    out = spawn(*args, "--cache", str(path))
-    assert out.returncode == fresh.returncode == 0
-    assert out.stdout == fresh.stdout
-    assert out.stderr.startswith("warning:")
-
-
-_FLOAT_COEFFICIENT = json.dumps({"format": 1, "entries": [{
-    "partition": "2", "theta": "1",
-    "m": [{"partition": "2", "coefficient": "1"}, {"partition": "1,1", "coefficient": 0.5}],
-}]})
-
-
-# read one character at a time, this numerator would load as 2*theta + 1
-_STRING_NUMERATOR = json.dumps({"format": 1, "entries": [{
-    "partition": "2", "theta": "1",
-    "m": [{"partition": "2", "coefficient": "1"},
-          {"partition": "1,1", "coefficient": {"num": "12", "den": ["1"]}}],
-}]})
-
-
-@pytest.mark.parametrize(
-    "content",
-    ["[]", '{"format": 1, "entries": [{"partition": "2"}]}', _FLOAT_COEFFICIENT, _STRING_NUMERATOR],
-    ids=["list", "no-theta", "number-coefficient", "string-numerator"],
-)
-def test_cache_file_of_the_wrong_shape_is_ignored(tmp_path, content):
-    path = tmp_path / "cache.json"
-    path.write_text(content)
-    args = ("jack", "--mu", "2", "--theta", "1")
-    fresh = spawn(*args)
-    out = spawn(*args, "--cache", str(path))
-    assert out.returncode == fresh.returncode == 0
-    assert out.stdout == fresh.stdout
-    assert out.stderr.startswith("warning:") and len(out.stderr.splitlines()) == 1
-
-
-def test_cache_path_that_is_a_directory_exits_2(tmp_path, capsys):
-    code = run(["expand", "--size", "3", "--p", "1", "--q", "1", "--cache", str(tmp_path)])
+@pytest.mark.parametrize("argv", _ONE_CALL_EACH, ids=lambda argv: argv[0])
+def test_the_cache_option_is_gone(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--cache", str(tmp_path / "cache.json")])
     captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
-
-
-def test_cache_path_in_a_missing_directory_exits_2(tmp_path, capsys):
-    path = tmp_path / "missing" / "c.json"
-    code = run(["jack", "--mu", "2", "--cache", str(path)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
-    assert not path.parent.exists()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: --cache" in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_jack_at_theta_minus_one(capsys):

@@ -587,6 +587,17 @@ def test_derive_k_examples():
     assert derive_k(Partition(), HookParams(1, 1)) == 1
     assert derive_k(P(1), HookParams(2, 1)) == -2
     assert derive_k(P(1), HookParams(1, 2)) == -2
+    with pytest.raises(NotAHook):
+        derive_k(P(2, 2), HookParams(1, 1))
+
+
+def test_derive_k_is_the_quotient_by_the_measured_top_coefficient():
+    # derive_k builds no J; the quotient it stands for reads J's top coefficient
+    for hp in PAIRS:
+        for mu in enumerate_hooks(hp, 4, "upto"):
+            e = next(en.coefficient for en in expansion_identity(mu.size, hp).entries if en.nu == mu)
+            top = paper_or_top(mu, hp).measured_top_coefficient
+            assert derive_k(mu, hp) == Fraction(1, 2) ** mu.size * e / top
 
 
 def test_constants_ledger_consistency():

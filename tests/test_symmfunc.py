@@ -209,6 +209,38 @@ def test_jack_cache_round_trip(tmp_path):
     assert basis_convert(jack_P(P(2), THETA), "m") == generic
 
 
+_BAD_CACHE_FILES = {
+    "truncated": '{"format": 1, "entries": [',
+    "list": "[]",
+    "no-theta": '{"format": 1, "entries": [{"partition": "2"}]}',
+    # a wrong but well-formed first entry must not be merged when a later one fails
+    "poisoned-then-broken": json.dumps({"format": 1, "entries": [
+        {"partition": "2", "theta": "1", "m": [{"partition": "2", "coefficient": "7"}]},
+        {"partition": "1,1", "theta": "x", "m": []},
+    ]}),
+    "number-coefficient": json.dumps({"format": 1, "entries": [{
+        "partition": "2", "theta": "1",
+        "m": [{"partition": "2", "coefficient": "1"}, {"partition": "1,1", "coefficient": 0.5}],
+    }]}),
+    # read one character at a time, this numerator would load as 2*theta + 1
+    "string-numerator": json.dumps({"format": 1, "entries": [{
+        "partition": "2", "theta": "1",
+        "m": [{"partition": "2", "coefficient": "1"},
+              {"partition": "1,1", "coefficient": {"num": "12", "den": ["1"]}}],
+    }]}),
+}
+
+
+@pytest.mark.parametrize("content", _BAD_CACHE_FILES.values(), ids=_BAD_CACHE_FILES.keys())
+def test_a_cache_file_that_does_not_parse_is_merged_not_at_all(tmp_path, content):
+    path = tmp_path / "jack.json"
+    path.write_text(content)
+    clear_jack_cache()
+    with pytest.raises(ValueError):
+        load_jack_cache(path)
+    assert jack_m_coeffs(P(2), ONE) == {P(2): 1, P(1, 1): 1}
+
+
 def test_jack_cache_concurrent_reads():
     from concurrent.futures import ThreadPoolExecutor
 
