@@ -1,7 +1,7 @@
-"""Print the measured-constants ledger: expansion coefficients, top
-coefficients, derived k values, evaluation-matrix diagonals, and how each
-compares with the closed-form candidates.  Comparisons are reported, never
-asserted; the measured values are the authoritative output.
+"""Print the measured-constants ledger: expansion coefficients, derived k
+values, evaluation-matrix diagonals, and how each compares with the
+closed-form candidates.  Comparisons are reported, never asserted; the
+measured values are the authoritative output.
 """
 
 import argparse
@@ -26,13 +26,12 @@ def main() -> int:
             coeffs = " ".join(f"e[{en.nu}]={en.coefficient}" for en in rep.entries)
             print(f"  m={m}: orientation={rep.orientation} {coeffs}")
         print("-- measured constants --")
-        header = ("mu", "mode", "e", "t", "k~", "k_hook", "(-1/2)^|mu|", "k match", "top match")
+        header = ("mu", "mode", "e", "k~", "k_hook", "k match")
         print("  " + " | ".join(header))
         for row in constants_ledger(hp, args.max_size):
             print(
                 f"  ({row.mu}) | {row.mode} | {row.expansion_coefficient} | "
-                f"{row.top_coefficient} | {row.k_derived} | {row.k_hook} | "
-                f"{row.top_claimed} | {row.matches_k_hook} | {row.matches_top_claimed}"
+                f"{row.k_derived} | {row.k_hook} | {row.matches_k_hook}"
             )
         print("-- evaluation-matrix diagonal --")
         print("  mu | J(grid(mu)) | C^-[mu] C^+[mu'] | C^-[mu] C^+[mu] | degenerate")

@@ -128,7 +128,8 @@ def grid_point(lam: Partition, hp: HookParams) -> GridPoint:
 
 
 class InterpolationResult(NamedTuple):
-    """J_mu with what its construction reports.  `measured_top_coefficient`
+    """J_mu with what its construction reports.  `mode` is "top" exactly
+    when `degenerate_normalization` holds.  `measured_top_coefficient`
     holds mu's coefficient in the squared basis, which the construction
     fixes to (-1/4)^{|mu|}; the name is kept because it is a key of the
     CLI's structured output."""
@@ -299,10 +300,13 @@ def interpolation_J(mu: Partition, hp: HookParams, mode: str = "paper") -> Inter
     the hooks lam of size <= |mu| not containing mu, with the top
     coefficient fixed and the other same-size coefficients zero, either pin
     J (and must give these coefficients) or leave it underdetermined, which
-    `extended_grid_used` reports; they never contradict it.  The mode only
-    labels the result, and "paper" refuses a vanishing target; "top" of a
-    nondegenerate mu is "paper"'s result relabelled.  The value at grid(mu)
-    is measured; `verify normalization` checks it.
+    `extended_grid_used` reports; they never contradict it.
+
+    This is the one place that labels J: "paper" when the normalization
+    target is nonzero, "top" when it vanishes.  The mode asked for must be
+    that label: "paper" of a degenerate mu raises DegenerateNormalization
+    and "top" of a nondegenerate one ValueError, both before any work.  The
+    value at grid(mu) is measured; `verify normalization` checks it.
     """
     if mode not in ("paper", "top"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -314,8 +318,9 @@ def interpolation_J(mu: Partition, hp: HookParams, mode: str = "paper") -> Inter
             f"normalization target vanishes for mu = {mu} at (p, q) = ({hp.p}, {hp.q})"
         )
     if mode == "top" and not degenerate:
-        # one J for both labels, through this cache
-        return interpolation_J(mu, hp, "paper")._replace(mode="top")
+        raise ValueError(
+            f"normalization target is nonzero for mu = {mu} at (p, q) = ({hp.p}, {hp.q}), so J is paper"
+        )
     # J is (-1/4)^{|mu|} = sign / den times an integer term map
     sign, den = (-1) ** mu.size, 4 ** mu.size
     scaled = factorial_super_schur(mu, hp)
@@ -444,38 +449,30 @@ class ConstantsRow(NamedTuple):
     hp: HookParams
     mode: str
     expansion_coefficient: Fraction
-    top_coefficient: Fraction
     k_derived: Fraction
     k_hook: Fraction
-    top_claimed: Fraction
     matches_k_hook: bool
-    matches_top_claimed: bool
 
 
 def constants_ledger(hp: HookParams, max_size: int) -> tuple:
-    """Measured expansion/top constants next to the closed-form candidates.
+    """Measured expansion coefficients and derived k next to the hook
+    formula for k, with J_mu's mode.
 
-    The closed-form comparisons are reported, never asserted: both the hook
-    formula for k and the (-1/2)^{|mu|} top coefficient disagree with the
-    measured values by powers of 2 under this variable scaling."""
+    The comparison is reported, never asserted: the hook formula disagrees
+    with the derived value by powers of 2 under this variable scaling.  J's
+    top coefficient is no column: the construction fixes it."""
     rows = []
     for mu in enumerate_hooks(hp, max_size, "upto"):
-        e = _expansion_coefficient(mu, hp)
-        j = paper_or_top(mu, hp)
-        t = j.measured_top_coefficient
         k_derived = derive_k(mu, hp)
         rows.append(
             ConstantsRow(
                 mu=mu,
                 hp=hp,
-                mode=j.mode,
-                expansion_coefficient=e,
-                top_coefficient=t,
+                mode=paper_or_top(mu, hp).mode,
+                expansion_coefficient=_expansion_coefficient(mu, hp),
                 k_derived=k_derived,
                 k_hook=k_mu(mu),
-                top_claimed=Fraction(-1, 2) ** mu.size,
                 matches_k_hook=(k_derived == k_mu(mu)),
-                matches_top_claimed=(t == Fraction(-1, 2) ** mu.size),
             )
         )
     return tuple(rows)
@@ -605,7 +602,7 @@ def _verify_vanishing(hp: HookParams, max_size: int, window: int) -> list:
         j = paper_or_top(mu, hp)
         if j.mode == "top":
             recs.append(
-                VerifyRecord("vanishing", hp.p, hp.q, mu, None, "top", "degenerate",
+                VerifyRecord("vanishing", hp.p, hp.q, mu, None, j.mode, "degenerate",
                              str(normalization_target(mu, hp)))
             )
         for lam in enumerate_hooks(hp, mu.size + window, "upto"):
@@ -622,18 +619,16 @@ def _verify_vanishing(hp: HookParams, max_size: int, window: int) -> list:
 def _verify_normalization(hp: HookParams, max_size: int) -> list:
     recs = []
     for mu in enumerate_hooks(hp, max_size, "upto"):
-        target = normalization_target(mu, hp)
-        if not target:
-            j = interpolation_J(mu, hp, "top")
+        j = paper_or_top(mu, hp)
+        if j.mode == "top":
             recs.append(
-                VerifyRecord("normalization", hp.p, hp.q, mu, None, "top", "degenerate",
+                VerifyRecord("normalization", hp.p, hp.q, mu, None, j.mode, "degenerate",
                              str(j.normalization_value))
             )
             continue
-        j = interpolation_J(mu, hp, "paper")
         recs.append(
-            VerifyRecord("normalization", hp.p, hp.q, mu, None, "paper",
-                         "pass" if j.normalization_value == target else "fail",
+            VerifyRecord("normalization", hp.p, hp.q, mu, None, j.mode,
+                         "pass" if j.normalization_value == normalization_target(mu, hp) else "fail",
                          str(j.normalization_value))
         )
         image = shimura_image(mu, hp)

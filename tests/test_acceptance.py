@@ -280,9 +280,7 @@ def test_criterion_10_constants_ledger():
                 ok = False
             lines.append(
                 f"(p={hp.p},q={hp.q}) mu=({row.mu}) e={row.expansion_coefficient} "
-                f"t={row.top_coefficient} k~={row.k_derived} k_hook={row.k_hook} "
-                f"top_claimed={row.top_claimed} matches_k={row.matches_k_hook} "
-                f"matches_top={row.matches_top_claimed}"
+                f"k~={row.k_derived} k_hook={row.k_hook} matches_k={row.matches_k_hook}"
             )
     print("[acceptance] constants ledger (reported, not asserted):")
     for line in lines:

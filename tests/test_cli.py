@@ -11,7 +11,7 @@ import superbc.interpbc
 from superbc.cli import _DESK_JACK_SIZE, _DESK_SIZE, _desk_scale, run
 from superbc.exactalg import INCONSISTENT, LinearSolveOutcome, SparsePoly
 from superbc.interpbc import DESK_PQ, interpolation_J
-from superbc.partitions import HookParams, Partition
+from superbc.partitions import HookParams, Partition, enumerate_hooks
 
 
 def invoke(capsys, *argv):
@@ -68,8 +68,7 @@ def test_grid_text(capsys):
 def test_interp_structured_round_trip(capsys):
     code, out = invoke(
         capsys,
-        "interp", "--mu", "1", "--p", "2", "--q", "1", "--mode", "paper",
-        "--format", "structured",
+        "interp", "--mu", "1", "--p", "2", "--q", "1", "--format", "structured",
     )
     assert code == 0
     payload = json.loads(out)
@@ -98,13 +97,26 @@ def test_interp_degenerate_fallback_exit_code(capsys):
     assert "mode = top" in out
 
 
-def test_interp_explicit_paper_degenerate(capsys):
-    code, out = invoke(
-        capsys, "interp", "--mu", "1", "--p", "1", "--q", "1", "--mode", "paper",
-        "--format", "structured",
-    )
-    assert code == 3
-    assert json.loads(out)["result"]["error"] == "degenerate-normalization"
+@pytest.mark.parametrize("mode", ("paper", "top"))
+def test_the_mode_option_is_gone(mode, capsys):
+    # interpolation_J alone labels J, so the label is no argument
+    with pytest.raises(SystemExit) as exc:
+        run(["interp", "--mu", "1", "--p", "1", "--q", "1", "--mode", mode])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: --mode" in captured.err
+
+
+def test_interp_exits_3_exactly_when_it_prints_a_degenerate_normalization(capsys):
+    codes = set()
+    for hp in (HookParams(1, 1), HookParams(2, 1), HookParams(1, 2), HookParams(2, 2)):
+        for mu in enumerate_hooks(hp, 4, "upto"):
+            code, out = invoke(capsys, "interp", "--mu", str(mu), "--p", str(hp.p), "--q", str(hp.q))
+            degenerate = "degenerate_normalization = true" in out.splitlines()
+            assert degenerate or "degenerate_normalization = false" in out.splitlines()
+            assert code == (3 if degenerate else 0), (hp, mu)
+            codes.add(code)
+    assert codes == {0, 3}
 
 
 def test_kmu_with_derived(capsys):
@@ -138,12 +150,18 @@ def test_usage_errors_exit_2():
     assert spawn("jack", "--mu", "2", "--theta", "-1").returncode == 2  # vanishing norm
 
 
+def _past_bound(key, m, bound):
+    # key is a subcommand, or "superjack at theta != 1"
+    command, route = key.split(" ")[0], " at theta != 1" in key
+    size = "--size" if command == "expand" else "--mu"
+    theta = ("--theta", "1/2") if route else ()
+    return (command, size, str(bound + 1), "--p", str(m), "--q", "1") + theta
+
+
 # one past each bound: every size bound of the table at (p, q) = (m, 1), where
 # it applies to max(p, q) = m, then p or q past DESK_PQ, then jack's bound
 _PAST_DESK = [
-    (command, "--size" if command == "expand" else "--mu", str(bound + 1), "--p", str(m), "--q", "1")
-    for command, bounds in _DESK_SIZE.items()
-    for m, bound in enumerate(bounds, 1)
+    _past_bound(key, m, bound) for key, bounds in _DESK_SIZE.items() for m, bound in enumerate(bounds, 1)
 ] + [
     ("superjack", "--mu", "1", "--p", str(DESK_PQ + 1), "--q", "1"),
     ("interp", "--mu", "1", "--p", "1", "--q", str(DESK_PQ + 1)),
@@ -160,7 +178,8 @@ def test_past_desk_scale_exits_2(argv, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {argv[0]} is desk scale: ")
+    route = " at theta != 1" if "--theta" in argv else ""
+    assert captured.err.startswith(f"error: {argv[0]}{route} is desk scale: ")
     assert len(captured.err.splitlines()) == 1
 
 

@@ -141,11 +141,11 @@ def test_grid_point_record_semantics():
 
 def test_interpolation_empty_partition():
     for hp in PAIRS:
-        for mode in ("paper", "top"):
-            j = interpolation_J(Partition(), hp, mode)
-            assert j.poly == SparsePoly.constant(j.poly.vars, 1)
-            assert j.normalization_value == 1
-            assert j.measured_top_coefficient == 1
+        j = paper_or_top(Partition(), hp)
+        assert j.mode == "paper"
+        assert j.poly == SparsePoly.constant(j.poly.vars, 1)
+        assert j.normalization_value == 1
+        assert j.measured_top_coefficient == 1
 
 
 def test_interpolation_paper_example_21():
@@ -178,6 +178,33 @@ def test_interpolation_degenerate_11():
     assert j.normalization_value == 0
 
 
+def test_the_mode_is_the_degenerate_normalization_flag():
+    labels = set()
+    for hp in PAIRS:
+        for mu in enumerate_hooks(hp, 4, "upto"):
+            j = paper_or_top(mu, hp)
+            assert (j.mode == "top") == j.degenerate_normalization, (hp, mu)
+            labels.add(j.mode)
+    assert labels == {"paper", "top"}
+
+
+def test_top_of_a_nondegenerate_mu_is_refused_before_any_work(monkeypatch):
+    import superbc.interpbc
+
+    def no_work(mu, hp):
+        raise AssertionError("J was built")
+
+    monkeypatch.setattr(superbc.interpbc, "factorial_super_schur", no_work)
+    refused = 0
+    for hp in PAIRS:
+        for mu in enumerate_hooks(hp, 4, "upto"):
+            if normalization_target(mu, hp):
+                with pytest.raises(ValueError, match="so J is paper"):
+                    interpolation_J(mu, hp, "top")
+                refused += 1
+    assert refused > 0
+
+
 def test_normalization_target_transpose_convention():
     # the C^+ factor rides on the transposed index; first asymmetric case
     hp = HookParams(2, 1)
@@ -189,9 +216,9 @@ def test_normalization_target_transpose_convention():
 
 def test_extended_grid_used():
     # sizes >= 3 at (2,1) leave the initial window underdetermined
-    j = interpolation_J(P(3), HookParams(2, 1), "top")
+    j = paper_or_top(P(3), HookParams(2, 1))
     assert j.extended_grid_used
-    j = interpolation_J(P(1), HookParams(2, 1), "top")
+    j = paper_or_top(P(1), HookParams(2, 1))
     assert not j.extended_grid_used
 
 
@@ -256,12 +283,12 @@ def test_a_closed_form_the_checks_reject_is_an_internal_fault(monkeypatch):
             lambda *args, **kwargs: LinearSolveOutcome(UNIQUE, solution=(Fraction(5),)),
         )
         with pytest.raises(InconsistentSystem, match="disagrees with the closed form"):
-            interpolation_J(P(1), hp, "top")
+            interpolation_J(P(1), hp)
         monkeypatch.undo()
         # a term off the squared basis: x1^2 alone is not supersymmetric
         monkeypatch.setattr(superbc.interpbc, "factorial_super_schur", lambda mu, hp: {(1, 0, 0): 1})
         with pytest.raises(InconsistentSystem, match="off the squared basis"):
-            interpolation_J(P(1), hp, "top")
+            interpolation_J(P(1), hp)
     finally:
         interpolation_J.cache_clear()
 
@@ -360,29 +387,6 @@ def test_window_cap_pins_j7_at_32():
             assert j.poly.evaluate(grid_point(lam, hp).coords) == 0, lam
 
 
-def test_top_and_paper_share_one_construction(monkeypatch):
-    # J_(4) at (2, 1) has a nonvanishing target, so "paper" takes its one
-    # window-0 check; "top" then relabels it and solves nothing
-    import superbc.interpbc
-
-    solves = []
-
-    def counting_solve(*args, **kwargs):
-        solves.append(args)
-        return solve_exact(*args, **kwargs)
-
-    monkeypatch.setattr(superbc.interpbc, "solve_exact", counting_solve)
-    interpolation_J.cache_clear()
-    try:
-        paper = interpolation_J(P(4), HookParams(2, 1), "paper")
-        assert len(solves) == 1 and paper.extended_grid_used
-        top = interpolation_J(P(4), HookParams(2, 1), "top")
-    finally:
-        interpolation_J.cache_clear()
-    assert len(solves) == 1
-    assert top == paper._replace(mode="top") and top.mode == "top"
-
-
 def test_vanishing_with_window():
     for hp in PAIRS[:2]:
         for mu in enumerate_hooks(hp, 3, "upto"):
@@ -403,17 +407,6 @@ def test_top_degree_shape():
 
             assert j.poly.homogeneous_part(2 * mu.size) == _sp_squared(mu, hp) * t
             assert j.poly.degree == 2 * mu.size
-
-
-def test_mode_coherence():
-    for hp in PAIRS:
-        for mu in enumerate_hooks(hp, 3, "upto"):
-            if normalization_target(mu, hp) == 0:
-                continue
-            jp = interpolation_J(mu, hp, "paper")
-            jt = interpolation_J(mu, hp, "top")
-            scale = jp.normalization_value / jt.normalization_value
-            assert jt.poly * scale == jp.poly
 
 
 def test_evaluation_matrix_upper_triangular():

@@ -205,18 +205,14 @@ def test_super_schur_at_a_point_is_the_polynomial_there():
                 assert super_schur(lam, hp, point) == poly.evaluate(point), (lam, hp, point)
 
 
-def _supertableaux_sum(lam, hp, node, power):
-    """Sum over the fillings of lam by x1 < .. < xp < y1 < .. < yq (rows and
-    columns weakly increasing, an x-letter at most once per column, a
-    y-letter at most once per row) of the product of the cell weights
-    v_k^power - node(k, c) (x-letters) and node(k, c) - v_k^power
-    (y-letters), c the content; enumerated cell by cell, without the
-    branching rule."""
+def _supertableaux(lam, hp):
+    """The fillings of lam by x1 < .. < xp < y1 < .. < yq (rows and columns
+    weakly increasing, an x-letter at most once per column, a y-letter at
+    most once per row), as dicts from cell to letter 1 .. p + q; enumerated
+    cell by cell, without the branching rule."""
     from itertools import product
 
-    names = a_variables(hp)
     cells = list(lam.boxes())
-    total = SparsePoly.zero(names)
     for letters in product(range(1, hp.p + hp.q + 1), repeat=len(cells)):
         filling = dict(zip(cells, letters))
         ok = True
@@ -226,8 +222,17 @@ def _supertableaux_sum(lam, hp, node, power):
                 ok = False
             if below is not None and (below < k or (below == k and k <= hp.p)):
                 ok = False
-        if not ok:
-            continue
+        if ok:
+            yield filling
+
+
+def _supertableaux_sum(lam, hp, node, power):
+    """Sum over the supertableaux of lam of the product of the cell weights
+    v_k^power - node(k, c) (x-letters) and node(k, c) - v_k^power
+    (y-letters), c the content."""
+    names = a_variables(hp)
+    total = SparsePoly.zero(names)
+    for filling in _supertableaux(lam, hp):
         term = SparsePoly.constant(names, 1)
         for (i, j), k in filling.items():
             weight = SparsePoly.variable(names, names[k - 1]) ** power - node(k, j - i)
@@ -236,18 +241,74 @@ def _supertableaux_sum(lam, hp, node, power):
     return total
 
 
+def _interpolation_nodes(hp, delta=0):
+    """The node of letter k (x-letters 1..p, then y-letters) at content c,
+    for h = q - p + 1/2 + delta; delta = 0 gives J_mu's nodes."""
+
+    def node(k, c):
+        if k <= hp.p:
+            return (2 * (k + c) - 1 - 2 * delta) ** 2
+        return (2 * (c - (k - hp.p)) + 2 * hp.p + 1 - 2 * delta) ** 2
+
+    return node
+
+
 def test_branching_rule_is_the_supertableaux_sum():
-    def interpolation(hp):
-        def node(k, c):
-            return (2 * (k + c) - 1) ** 2 if k <= hp.p else (2 * (c - (k - hp.p)) + 2 * hp.p + 1) ** 2
-
-        return node
-
     for hp in (HP11, HP21, HookParams(1, 2), HookParams(2, 2)):
         for lam in enumerate_hooks(hp, 4, "upto"):
             assert super_schur(lam, hp) == _supertableaux_sum(lam, hp, lambda k, c: 0, 1), (lam, hp)
             got = SparsePoly(a_variables(hp), factorial_super_schur(lam, hp))
-            assert got == _supertableaux_sum(lam, hp, interpolation(hp), 2), (lam, hp)
+            assert got == _supertableaux_sum(lam, hp, _interpolation_nodes(hp), 2), (lam, hp)
+
+
+def test_the_generic_h_family_vanishes_and_normalizes_identically_in_h():
+    """J_mu(h) is the supertableaux sum with both node families shifted by
+    delta = h - (q - p + 1/2), times (-1/4)^{|mu|}.  At its grid point
+    grid_h(lam) = 2 lam_natural + rho(h), with rho(h) = (-2(h + i - 1))_{i<=p},
+    (2(h + p - j))_{j<=q}, each cell weight X_k - n^2 = (x_k - n)(x_k + n),
+    or n^2 - Y_l = (n - y_l)(n + y_l), has one factor free of delta (x_k - n,
+    n + y_l) and one linear in it.  So J_mu(h)(grid_h(lam)) has degree
+    <= |mu| in delta, as has C^-(1;-1)[mu] C^+(2h-1;-1)[mu'], and agreeing
+    at |mu| + 1 distinct delta proves each identity in h:
+    J_mu(h) vanishes at grid_h(lam) for every hook lam not containing mu up
+    to |mu| + 2, and takes that product at grid_h(mu).  Integer delta keep
+    the arithmetic in integers; at delta = 0, the paper's h, the grid is
+    grid_point's and the values are factorial_super_schur's."""
+    from math import prod
+
+    from superbc.interpbc import c_factor, grid_point
+    from superbc.partitions import lambda_natural
+
+    checked = 0
+    for hp in (HP11, HP21, HookParams(1, 2), HookParams(2, 2)):
+        p, q = hp.p, hp.q
+        for mu in enumerate_hooks(hp, 4, "upto"):
+            tableaux = [tuple((k, j - i) for (i, j), k in t.items()) for t in _supertableaux(mu, hp)]
+            weights_used = {kc for t in tableaux for kc in t}
+            lams = [lam for lam in enumerate_hooks(hp, mu.size + 2, "upto") if lam == mu or not lam.contains(mu)]
+            closed_form = SparsePoly(a_variables(hp), factorial_super_schur(mu, hp))
+            for delta in range(mu.size + 1):
+                node = _interpolation_nodes(hp, delta)
+                two_h = 2 * delta + 2 * (q - p) + 1
+                for lam in lams:
+                    nat = lambda_natural(lam, p, q)
+                    point = [2 * nat[i] - two_h - 2 * i for i in range(p)]
+                    point += [2 * nat[p + j] + two_h + 2 * (p - j - 1) for j in range(q)]
+                    weight = {
+                        (k, c): point[k - 1] ** 2 - node(k, c) if k <= p else node(k, c) - point[k - 1] ** 2
+                        for k, c in weights_used
+                    }
+                    value = sum(prod(weight[kc] for kc in t) for t in tableaux)
+                    if lam == mu:
+                        target = c_factor(mu, 1, -1, "minus") * c_factor(mu.transpose(), two_h - 1, -1, "plus")
+                        assert value == (-4) ** mu.size * target, (hp, mu, delta)
+                    else:
+                        assert value == 0, (hp, mu, lam, delta)
+                    if delta == 0:
+                        assert tuple(point) == grid_point(lam, hp).coords, (hp, lam)
+                        assert value == closed_form.evaluate(tuple(point)), (hp, mu, lam)
+                    checked += 1
+    assert checked > 1000, checked
 
 
 def test_squared_substitution_is_the_validated_doubling():
