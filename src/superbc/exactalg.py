@@ -50,14 +50,14 @@ def _pneg(a: tuple) -> tuple:
 
 
 def _pmul(a: tuple, b: tuple) -> tuple:
+    """Product of integer coefficient sequences, lowest degree first."""
     if not a or not b:
         return ()
-    out = [_ZERO] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
+        if ca:
+            for k, cb in enumerate(b, i):
+                out[k] += ca * cb
     return _ptrim(tuple(out))
 
 
@@ -81,10 +81,17 @@ def _pquo(a, b) -> tuple:
     return tuple(q)
 
 
+def _common_denominator(values) -> tuple:
+    """Fractions (or ints) as integer numerators over the lcm of their
+    denominators: (numerators, lcm)."""
+    den = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
 def _primitive(cs) -> list:
     """Integer primitive part of a nonzero coefficient sequence of Fractions
     or ints: the denominators cleared and the content divided out."""
-    ints = _common_denominator(cs)[0]
+    ints = cs if all(type(v) is int for v in cs) else _common_denominator(cs)[0]
     g = gcd(*ints)
     return [v // g for v in ints]
 
@@ -119,6 +126,39 @@ def _pgcd(a: tuple, b: tuple) -> tuple:
         r = _ptrim(tuple(r))
         a, b = b, _primitive(r) if r else []
     return (1,) if b else tuple(a)
+
+
+def _canonical(num: tuple, den: tuple) -> tuple:
+    """Lowest terms of num/den from trimmed integer coefficient sequences,
+    den nonzero: the canonical `RatFunc` parts, `Fraction` tuples with den
+    monic.  This is the one reduction of the package: the integer primitive
+    gcd divides both parts exactly (Gauss's lemma), and one division by the
+    lead of den makes it monic."""
+    if not num:
+        return (), (_ONE,)
+    g = _pgcd(num, den)
+    if len(g) > 1:
+        num, den = _pquo(num, g), _pquo(den, g)
+    return _monic(num, den)
+
+
+def _monic(num: tuple, den: tuple) -> tuple:
+    """The parts of num/den, integer sequences without a common factor,
+    divided by the lead of den."""
+    lead = den[-1]
+    return tuple(Fraction(c, lead) for c in num), tuple(Fraction(c, lead) for c in den)
+
+
+def _int_parts(f: "RatFunc") -> tuple:
+    """num and den of f as integer sequences over one common denominator."""
+    ints = _common_denominator(f.num + f.den)[0]
+    return ints[: len(f.num)], ints[len(f.num):]
+
+
+def _quotients(a: tuple, b: tuple) -> tuple:
+    """a and b divided by their integer primitive gcd."""
+    g = _pgcd(a, b)
+    return (_pquo(a, g), _pquo(b, g)) if len(g) > 1 else (a, b)
 
 
 def _peval(a: tuple, x: Fraction) -> Fraction:
@@ -162,9 +202,11 @@ def _ptext(cs: tuple, sym: str) -> str:
 class RatFunc:
     """Rational function num/den in one formal parameter over Q.
 
-    Canonical form (gcd(num, den) = 1, den monic) is restored by the
-    constructor, through which every operation builds its result or its
-    reduced parts, so structural equality is mathematical equality.
+    Canonical form (gcd(num, den) = 1, den monic, `Fraction` coefficients)
+    is built by `_canonical` from integer parts: the constructor clears
+    denominators once and calls it, and every operation reduces its
+    integer result through it, so structural equality is mathematical
+    equality.
     """
 
     __slots__ = ("num", "den")
@@ -176,22 +218,8 @@ class RatFunc:
         den_t = self._coeffs(den)
         if not den_t:
             raise ZeroDivisionError("rational function with zero denominator")
-        if not num_t:
-            den_t = (_ONE,)
-        elif len(g := _pgcd(num_t, den_t)) > 1:
-            # over one integer denominator the primitive gcd divides both
-            # parts exactly (Gauss's lemma); the denominator cancels
-            ints = _common_denominator(num_t + den_t)[0]
-            num_i, den_i = _pquo(ints[: len(num_t)], g), _pquo(ints[len(num_t):], g)
-            lead = den_i[-1]
-            num_t = tuple(Fraction(c, lead) for c in num_i)
-            den_t = tuple(Fraction(c, lead) for c in den_i)
-        elif den_t[-1] != 1:
-            inv = 1 / den_t[-1]
-            num_t = tuple(c * inv for c in num_t)
-            den_t = tuple(c * inv for c in den_t)
-        self.num = num_t
-        self.den = den_t
+        ints = _common_denominator(num_t + den_t)[0]
+        self.num, self.den = _canonical(ints[: len(num_t)], ints[len(num_t):])
 
     def __reduce__(self) -> tuple:
         # __slots__ alone leaves pickle protocols 0 and 1 without a state
@@ -218,6 +246,11 @@ class RatFunc:
         return out
 
     @classmethod
+    def _from_ints(cls, num: tuple, den: tuple) -> "RatFunc":
+        """num/den from trimmed integer coefficient sequences, den nonzero."""
+        return cls._reduced(*_canonical(num, den))
+
+    @classmethod
     def _coerce(cls, v):
         if isinstance(v, RatFunc):
             return v
@@ -229,9 +262,10 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        (a, b), (c, d) = _int_parts(self), _int_parts(o)
         # with b/d = b'/d' in lowest terms, b d' = d b' is a common denominator
-        q = RatFunc(self.den, o.den)
-        return RatFunc(_padd(_pmul(self.num, q.den), _pmul(o.num, q.num)), _pmul(self.den, q.den))
+        b1, d1 = _quotients(b, d)
+        return RatFunc._from_ints(_padd(_pmul(a, d1), _pmul(c, b1)), _pmul(b, d1))
 
     __radd__ = __add__
 
@@ -261,11 +295,7 @@ class RatFunc:
             if not const.num:
                 return const
             return RatFunc._reduced(tuple(c * const.num[0] for c in other.num), other.den)
-        # (a/b)(c/d) = (a/d)(c/b), and as a/b and c/d are reduced, so is the
-        # product of those two in lowest terms; their monic denominators
-        # leave the product's monic
-        x, y = RatFunc(self.num, o.den), RatFunc(o.num, self.den)
-        return RatFunc._reduced(_pmul(x.num, y.num), _pmul(x.den, y.den))
+        return _product(*_int_parts(self), *_int_parts(o))
 
     __rmul__ = __mul__
 
@@ -275,7 +305,8 @@ class RatFunc:
             return NotImplemented
         if not o.num:
             raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(_pmul(self.num, o.den), _pmul(self.den, o.num))
+        c, d = _int_parts(o)
+        return _product(*_int_parts(self), d, c)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -340,6 +371,14 @@ class RatFunc:
     __repr__ = __str__
 
 
+def _product(a: tuple, b: tuple, c: tuple, d: tuple) -> RatFunc:
+    """(a/b)(c/d) from integer parts, each pair without a common factor:
+    (a/d)(c/b) with both quotients in lowest terms is in lowest terms."""
+    a, d = _quotients(a, d)
+    c, b = _quotients(c, b)
+    return RatFunc._reduced(*_monic(_pmul(a, c), _pmul(b, d)))
+
+
 THETA = RatFunc.variable()
 
 Scalar = Union[Fraction, RatFunc]
@@ -382,10 +421,14 @@ def add_products(pairs) -> dict:
 
     Rational scalars go through `add_terms` unchanged.  Rational-function
     scalars are not added term by term, which would reduce every partial
-    sum: their numerators, scaled by the entries of vec, are added over the
-    lcm of the distinct denominators, and each key's sum is reduced once.  A
-    key that only rational scalars reach keeps a rational sum, as
-    `add_terms` would give."""
+    sum.  Each distinct denominator is taken as a primitive integer
+    polynomial, their lcm L is built with exact quotients, and each c is
+    written as an integer polynomial over L times a rational weight.  A
+    key's numerator is then summed in integers over one integer scale and
+    reduced once (`_combination`).  A key that only rational scalars reach
+    keeps a rational sum, as `add_terms` would give; a key that a
+    rational-function scalar reaches gets a `RatFunc`, even a constant one;
+    a key whose sum cancels is dropped."""
     pairs = list(pairs)
     out = add_terms(
         (key, c * t) for c, vec in pairs if not isinstance(c, RatFunc) for key, t in vec.items()
@@ -393,33 +436,50 @@ def add_products(pairs) -> dict:
     functions = [(c, vec) for c, vec in pairs if isinstance(c, RatFunc)]
     if not functions:
         return out
-    dens = {c.den for c, _ in functions}
-    common = (_ONE,)
-    for d in dens:
+    # den is monic, so den = P / k with P its primitive form and k = P's lead
+    prims: dict = {}
+    for c, _ in functions:
+        if c.den not in prims:
+            prims[c.den] = tuple(_primitive(c.den))
+    common = (1,)
+    for d in prims.values():
         # lcm(common, d) = common * d / gcd(common, d)
-        common = _pmul(common, RatFunc(d, common).num)
-    cofactor = {d: RatFunc(common, d).num for d in dens}
-    nums: dict = {}
+        common = _pmul(common, _quotients(d, common)[0])
+    # c = (k num) / P = (num' cof) * (k / s) / common, with num = num' / s
+    # and cof = common / P
+    cofactors = {den: (_pquo(common, d), d[-1]) for den, d in prims.items()}
+    parts: dict = {}
     for c, vec in functions:
-        num = _pmul(c.num, cofactor[c.den])
+        num, s = _common_denominator(c.num)
+        cof, k = cofactors[c.den]
+        poly, weight = _pmul(num, cof), Fraction(k, s)
         for key, t in vec.items():
-            nums[key] = _padd(nums.get(key, ()), tuple(v * t for v in num))
-    for key, num in nums.items():
+            parts.setdefault(key, []).append((weight * t, poly))
+    for key, terms in parts.items():
         extra = out.get(key)
         if extra is not None:
-            num = _padd(num, tuple(v * extra for v in common))
-        if num:
-            out[key] = RatFunc(num, common)
-        else:
+            terms.append((extra, common))
+        total = _combination(terms, common)
+        if total is None:
             out.pop(key, None)
+        else:
+            out[key] = total
     return out
 
 
-def _common_denominator(values) -> tuple:
-    """Fractions (or ints) as integer numerators over the lcm of their
-    denominators: (numerators, lcm)."""
-    den = lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (den // v.denominator) for v in values), den
+def _combination(terms: list, den: tuple):
+    """The sum of w * poly over (rational w, integer sequence poly) pairs,
+    divided by the integer sequence den, as one reduced `RatFunc`; None when
+    the sum is 0.  The numerator is summed in integers over the lcm of the
+    denominators of the w, which then scales den."""
+    scale = lcm(*(w.denominator for w, _ in terms))
+    total = [0] * max(len(poly) for _, poly in terms)
+    for w, poly in terms:
+        k = w.numerator * (scale // w.denominator)
+        for i, v in enumerate(poly):
+            total[i] += k * v
+    total = _ptrim(tuple(total))
+    return RatFunc._from_ints(total, tuple(scale * v for v in den)) if total else None
 
 
 # ---------------------------------------------------------------------------

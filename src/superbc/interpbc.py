@@ -8,6 +8,7 @@ import random
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import factorial
 from typing import NamedTuple
 
@@ -397,20 +398,36 @@ class ExpansionReport(NamedTuple):
     orientation: str  # direct | reciprocal | both | mixed
 
 
+def _power_of_squares(m: int, hp: HookParams) -> dict:
+    """(sum x_i^2 - sum y_j^2)^m as an integer term map, by the multinomial
+    theorem: the exponent vector 2k, for k a composition of m into p + q
+    parts, has coefficient m! / prod k_i! times (-1) to the y-degree of k."""
+    n = hp.p + hp.q
+    power = {}
+    # stars and bars: k_i is the gap between bars i - 1 and i
+    for bars in combinations(range(m + n - 1), n - 1):
+        k = [b - a - 1 for a, b in zip((-1,) + bars, bars + (m + n - 1,))]
+        c = factorial(m)
+        for ki in k:
+            c //= factorial(ki)
+        power[tuple(2 * ki for ki in k)] = -c if sum(k[hp.p:]) % 2 else c
+    return power
+
+
 @lru_cache(maxsize=None)
 def expansion_identity(m: int, hp: HookParams) -> ExpansionReport:
     """Expand (1/m!) (sum x_i^2 - sum y_j^2)^m exactly over the size-m squared
     basis and compare every measured coefficient e_nu against the hook
     product C^-(1;-1) and against its reciprocal.
 
-    The power has integer coefficients, so back-substitution on the leads
-    of the size-m squared basis expands it in integers, and m! divides once
-    at the end.  The remainder check proves that the expansion exists, and
-    the triangularity check of `_lead_order` that it is unique."""
+    The power has integer coefficients (`_power_of_squares`), so
+    back-substitution on the leads of the size-m squared basis expands it in
+    integers, and m! divides once at the end.  The remainder check proves
+    that the expansion exists, and the triangularity check of `_lead_order`
+    that it is unique."""
     if m < 0:
         raise ValueError("the power must be nonnegative")
-    power = {e: c.numerator for e, c in (power_sum(2, hp) ** m).terms.items()}
-    coeffs = _squared_basis_coefficients(power, hp, (m,))
+    coeffs = _squared_basis_coefficients(_power_of_squares(m, hp), hp, (m,))
     scale = factorial(m)
     entries = []
     for nu, b in coeffs.items():

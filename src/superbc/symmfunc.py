@@ -20,6 +20,7 @@ from superbc.exactalg import (
     RatFunc,
     THETA,
     SparsePoly,
+    _combination,
     _peval,
     _pquo,
     add_products,
@@ -296,9 +297,9 @@ def _jack_integral(parts: tuple) -> tuple:
 
 def jack_m_coeffs(lam: Partition, theta=THETA) -> dict:
     """Monomial-basis expansion of P_lam at the given parameter: v_mu / c_lam
-    from `_jack_integral`, as a rational function at the formal parameter
-    and by substitution at any other one.  P_lam is monic on m_lam and
-    supported on dominance-lower partitions."""
+    from `_jack_integral`, each reduced from its integer parts at the formal
+    parameter, and by substitution at any other one.  P_lam is monic on
+    m_lam and supported on dominance-lower partitions."""
     theta = as_scalar(theta)
     if not theta:
         raise DegenerateParameter("theta = 0 is a degenerate Jack parameter")
@@ -309,7 +310,7 @@ def jack_m_coeffs(lam: Partition, theta=THETA) -> dict:
     c_lam, v = _jack_integral(lam.parts)
     lower = [(Partition(mu), vm) for mu, vm in reversed(v.items()) if mu != lam.parts]
     if theta == THETA:
-        values = [RatFunc(vm, c_lam) for _, vm in lower]
+        values = [RatFunc._from_ints(vm, c_lam) for _, vm in lower]
     elif den := _peval(c_lam, theta):
         values = [_peval(vm, theta) / den for _, vm in lower]
     else:
@@ -317,7 +318,7 @@ def jack_m_coeffs(lam: Partition, theta=THETA) -> dict:
         # factor cancels; a constant rational function stands for its value
         point = theta.constant_value() if isinstance(theta, RatFunc) else theta
         try:
-            values = [RatFunc(vm, c_lam).evaluate(point) for _, vm in lower]
+            values = [RatFunc._from_ints(vm, c_lam).evaluate(point) for _, vm in lower]
         except PoleError as err:
             raise DegenerateParameter(f"P[{lam}] has a pole at theta = {theta}") from err
     m_vec = {lam: Fraction(1)}
@@ -329,8 +330,36 @@ def jack_m_coeffs(lam: Partition, theta=THETA) -> dict:
 
 def jack_P(lam: Partition, theta=THETA) -> SymFun:
     """Monic Jack symmetric function: triangular below lam in dominance and
-    orthogonal for the deformed inner product."""
-    return SymFun.from_m(jack_m_coeffs(lam, theta))
+    orthogonal for the deformed inner product.
+
+    At the formal parameter each power-sum coefficient comes straight from
+    the integral form: with t_mu,rho the m -> p table, L_rho the lcm of the
+    denominators of the t_mu,rho and v_mu from `_jack_integral`, the
+    coefficient on p_rho is N_rho / (L_rho c_lam), where N_rho = sum over mu
+    of (L_rho t_mu,rho) v_mu is summed in integers and reduced once.  A rho
+    that only m_lam's row reaches keeps its rational t_lam,rho, and a rho
+    whose N_rho cancels has no key, as `SymFun.from_m` of `jack_m_coeffs`
+    gives.  Any other parameter takes that route."""
+    if not (isinstance(theta, RatFunc) and theta == THETA):
+        return SymFun.from_m(jack_m_coeffs(lam, theta))
+    c_lam, v = _jack_integral(lam.parts)
+    table = _m_to_p_table(lam.size)
+    coeffs = dict(table[lam])
+    rows: dict = {}
+    for mu, v_mu in v.items():
+        if mu != lam.parts:
+            for rho, t in table[Partition(mu)].items():
+                rows.setdefault(rho, []).append((t, v_mu))
+    for rho, terms in rows.items():
+        t = coeffs.get(rho)
+        if t is not None:
+            terms.append((t, c_lam))
+        total = _combination(terms, c_lam)
+        if total is None:
+            coeffs.pop(rho, None)
+        else:
+            coeffs[rho] = total
+    return SymFun(coeffs)
 
 
 # ---------------------------------------------------------------------------

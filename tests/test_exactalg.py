@@ -70,9 +70,9 @@ def _random_ratfunc(rng):
 
 
 def test_ratfunc_fast_paths_match_the_general_constructor():
-    # sums and products reduce smaller pieces than the full result (the
-    # quotient of the denominators, the two cross quotients); their results
-    # must be the constructor's canonical form exactly
+    # sums, products and quotients reduce smaller pieces than the full
+    # result (the quotient of the denominators, the two cross quotients);
+    # their results must be the constructor's canonical form exactly
     rng = random.Random(5)
     shared = coprime = 0
     for _ in range(400):
@@ -88,6 +88,10 @@ def test_ratfunc_fast_paths_match_the_general_constructor():
             general = RatFunc(_pmul(a.num, c.num), _pmul(a.den, c.den))
             for product in (a * c, c * a):
                 assert (product.num, product.den) == (general.num, general.den)
+            if c:
+                general = RatFunc(_pmul(a.num, c.den), _pmul(a.den, c.num))
+                quotient = a / c
+                assert (quotient.num, quotient.den) == (general.num, general.den)
     assert shared > 50 and coprime > 50
 
 
@@ -181,6 +185,44 @@ def _imul(a, b):
     return tuple(int(c) for c in _pmul(a, b))
 
 
+def _random_int_poly(rng, degree):
+    """Integer coefficients with a nonzero lead of either sign, rarely 1,
+    times a random content, so the sequence is often not primitive."""
+    content = rng.choice((1, 1, 2, 3, 6))
+    cs = [rng.randint(-9, 9) for _ in range(degree)] + [rng.choice((-1, 1)) * rng.randint(1, 9)]
+    return tuple(content * c for c in cs)
+
+
+def test_integer_reduction_matches_euclid_over_q():
+    # the oracle: divide by the Euclid gcd over Q, then make den monic
+    rng = random.Random(29)
+    kinds = {"shared": 0, "zero": 0, "constant": 0, "negative lead": 0, "not primitive": 0}
+    for _ in range(400):
+        num = _random_int_poly(rng, rng.randint(0, 5)) if rng.random() < 0.9 else ()
+        den = _random_int_poly(rng, rng.randint(0, 5))
+        if rng.random() < 0.6:
+            common = _random_int_poly(rng, rng.randint(1, 3))
+            num, den = _pmul(num, common), _pmul(den, common)
+        r = RatFunc._from_ints(num, den)
+        if num:
+            g = _euclid_gcd(num, den)
+            n, d = _pdivmod(num, g)[0], _pdivmod(den, g)[0]
+            expected = (tuple(c / d[-1] for c in n), _monic(d))
+        else:
+            expected = ((), (Fraction(1),))
+        assert (r.num, r.den) == expected, (num, den)
+        assert all(type(c) is Fraction for c in r.num + r.den)
+        # the constructor reduces through the same entry
+        general = RatFunc(num, den)
+        assert (general.num, general.den) == (r.num, r.den)
+        kinds["shared"] += bool(num) and len(g) > 1
+        kinds["zero"] += not num
+        kinds["constant"] += len(r.num) <= 1 and len(r.den) == 1
+        kinds["negative lead"] += den[-1] < 0
+        kinds["not primitive"] += gcd(*den) > 1
+    assert all(v > 20 for v in kinds.values()), kinds
+
+
 def test_exact_integer_division():
     rng = random.Random(29)
     low_raised = top_raised = 0
@@ -247,6 +289,46 @@ def test_add_products_matches_add_terms(function_share):
             assert all(type(c) is Fraction for c in got.values())
     assert cancelled > 25
     assert shared > 25 or not function_share
+
+
+def test_add_products_types_and_canonical_parts():
+    # a key that a rational function reaches gets a canonical RatFunc, even
+    # a constant one; a key that only rationals reach keeps a Fraction; a
+    # key whose sum cancels is dropped
+    rng = random.Random(13)
+    kinds = {"function": 0, "rational": 0, "constant function": 0}
+    for _ in range(150):
+        pairs = _random_products(rng, 0.5)
+        if rng.random() < 0.3:
+            pairs.append((RatFunc(Fraction(rng.randint(1, 5), rng.randint(1, 3))), {rng.randint(0, 4): 1}))
+        got = add_products(pairs)
+        expected = add_terms((key, c * t) for c, vec in pairs for key, t in vec.items())
+        assert set(got) == set(expected)
+        for key, value in got.items():
+            if any(isinstance(c, RatFunc) and key in vec for c, vec in pairs):
+                assert type(value) is RatFunc
+                oracle = RatFunc(expected[key]) if type(expected[key]) is Fraction else expected[key]
+                assert (value.num, value.den) == (oracle.num, oracle.den)
+                assert all(type(c) is Fraction for c in value.num + value.den)
+                kinds["function"] += 1
+                kinds["constant function"] += value.is_constant()
+            else:
+                assert type(value) is Fraction and value == expected[key]
+                kinds["rational"] += 1
+    assert all(v > 20 for v in kinds.values()), kinds
+
+    f = RatFunc((1,), (1, 1))  # 1 / (theta + 1)
+    pairs = [
+        (f, {"cancels": 1, "mixed": 2}),
+        (f, {"cancels": -1}),
+        (Fraction(1, 2), {"rational": 3}),
+        (Fraction(1, 3), {"mixed": 1}),
+    ]
+    got = add_products(pairs)
+    assert set(got) == {"mixed", "rational"}
+    assert type(got["rational"]) is Fraction and got["rational"] == Fraction(3, 2)
+    assert got["mixed"] == 2 * f + Fraction(1, 3)
+    assert str(got["mixed"]) == "(1/3*theta + 7/3)/(theta + 1)"
 
 
 @given(scalars, scalars, scalars)

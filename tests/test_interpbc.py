@@ -508,6 +508,19 @@ def test_expansion_reconstructs_lhs():
             assert lhs == rhs
 
 
+def test_power_of_squares_is_the_polynomial_power():
+    from superbc.interpbc import _power_of_squares
+    from superbc.superpoly import power_sum
+
+    for p in (1, 2, 3):
+        for q in (1, 2, 3):
+            hp = HookParams(p, q)
+            for m in range(6):
+                power = power_sum(2, hp) ** m
+                assert _power_of_squares(m, hp) == power.terms, (hp, m)
+                assert all(type(c) is int for c in _power_of_squares(m, hp).values())
+
+
 def _expansion_by_solve(m, hp):
     """Reference: the size-m squared-basis coefficients of the power
     (1/m!) p_2^m by one exact solve over all monomials, unique or None."""

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from superbc.exactalg import PoleError, SparsePoly, THETA, scalar_eval
+from superbc.exactalg import PoleError, RatFunc, SparsePoly, THETA, scalar_eval
 from superbc.partitions import Partition, partitions_of
 from superbc.symmfunc import (
     DegenerateParameter,
@@ -100,6 +100,27 @@ def test_jack_examples():
     assert jack_P(P(1), THETA) == SymFun.p(P(1))
     coeffs = basis_convert(jack_P(P(2), THETA), "m")
     assert coeffs == {P(2): 1, P(1, 1): 2 * THETA / (THETA + 1)}
+
+
+def test_generic_jack_direct_route_is_from_m_of_the_m_coefficients():
+    # at the formal parameter jack_P builds each p-coefficient from the
+    # integral form; the oracle is the monomial expansion converted by
+    # SymFun.from_m: the same keys, scalar types, canonical parts and text
+    for d in range(9):
+        for lam in partitions_of(d):
+            got = jack_P(lam, THETA)
+            expected = SymFun.from_m(jack_m_coeffs(lam, THETA))
+            assert set(got.coeffs) == set(expected.coeffs)
+            for rho, c in expected.coeffs.items():
+                g = got.coeffs[rho]
+                assert type(g) is type(c), (lam, rho)
+                if isinstance(c, RatFunc):
+                    assert (g.num, g.den) == (c.num, c.den), (lam, rho)
+                    assert all(type(v) is Fraction for v in g.num + g.den)
+                    assert g.den[-1] == 1
+                else:
+                    assert g == c
+            assert str(got) == str(expected)
 
 
 def test_jack_orthogonality_small():
