@@ -27,8 +27,8 @@ from superbc.interpbc import (
     derive_k,
     expansion_identity,
     grid_point,
+    interpolation_J,
     k_mu,
-    paper_or_top,
     verify_properties,
 )
 from superbc.partitions import HookParams, Partition, UsageError, enumerate_hooks, sort_key
@@ -113,11 +113,6 @@ def _desk_scale(command: str, size: int, hp: HookParams | None = None) -> None:
         bound, where = _DESK_SIZE[command][max(hp.p, hp.q) - 1], f" at (p, q) = ({hp.p}, {hp.q})"
     if size > bound:
         raise UsageError(f"{command} is desk scale: size <= {bound}{where}, got {size}")
-
-
-def _hook_argument(lam: Partition, hp: HookParams) -> None:
-    if not lam.is_hook(hp):
-        raise UsageError(f"{lam} is not a ({hp.p}, {hp.q})-hook partition")
 
 
 def _coeff_record(c) -> dict:
@@ -238,7 +233,6 @@ def _cmd_superjack(args):
 
 def _cmd_grid(args):
     hp = HookParams(args.p, args.q)
-    _hook_argument(args.lam, hp)
     point = grid_point(args.lam, hp)
     coords = [str(c) for c in point.coords]
     result = {"lambda": str(args.lam), "p": args.p, "q": args.q, "coordinates": coords}
@@ -276,8 +270,7 @@ def _interp_lines(j) -> list:
 def _cmd_interp(args):
     hp = HookParams(args.p, args.q)
     _desk_scale("interp", args.mu.size, hp)
-    _hook_argument(args.mu, hp)
-    j = paper_or_top(args.mu, hp)
+    j = interpolation_J(args.mu, hp)
     return (3 if j.degenerate_normalization else 0), _interp_result(j), _interp_lines(j)
 
 
@@ -290,7 +283,6 @@ def _cmd_kmu(args):
     if args.p is not None:
         hp = HookParams(args.p, args.q)
         _desk_scale("kmu", args.mu.size, hp)
-        _hook_argument(args.mu, hp)
         kd = derive_k(args.mu, hp)
         result.update({"p": args.p, "q": args.q, "k_derived": str(kd)})
         lines.append(f"k_derived[{args.mu}] at (p, q) = ({args.p}, {args.q}) = {kd}")

@@ -199,6 +199,15 @@ def _ptext(cs: tuple, sym: str) -> str:
     )
 
 
+def as_rational(v) -> Fraction:
+    """An int or a Fraction as a Fraction; a float or anything else raises."""
+    if type(v) is Fraction:
+        return v
+    if isinstance(v, (int, Fraction)):
+        return Fraction(v)
+    raise TypeError(f"expected an exact scalar, got {type(v).__name__}")
+
+
 class RatFunc:
     """Rational function num/den in one formal parameter over Q.
 
@@ -227,11 +236,10 @@ class RatFunc:
 
     @staticmethod
     def _coeffs(v) -> tuple:
-        if isinstance(v, RatFunc):
+        cs = v if isinstance(v, (tuple, list)) else (v,)
+        if any(isinstance(c, RatFunc) for c in cs):
             raise TypeError("nested rational functions are not supported")
-        if isinstance(v, (int, Fraction)):
-            v = (v,)
-        return _ptrim(tuple(c if type(c) is Fraction else Fraction(c) for c in v))
+        return _ptrim(tuple(map(as_rational, cs)))
 
     @classmethod
     def variable(cls) -> "RatFunc":
@@ -355,7 +363,7 @@ class RatFunc:
 
     def evaluate(self, point) -> Fraction:
         """Substitute a rational for the parameter and reduce."""
-        point = Fraction(point)
+        point = as_rational(point)
         dval = _peval(self.den, point)
         if not dval:
             raise PoleError(f"{self} has a pole at {self.SYMBOL} = {point}")
@@ -385,18 +393,14 @@ Scalar = Union[Fraction, RatFunc]
 
 
 def as_scalar(v) -> Scalar:
-    if type(v) is Fraction or isinstance(v, RatFunc):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return Fraction(v)
-    raise TypeError(f"expected an exact scalar, got {type(v).__name__}")
+    return v if isinstance(v, RatFunc) else as_rational(v)
 
 
 def scalar_eval(f, theta0) -> Fraction:
     """Substitute the formal parameter and reduce; rationals pass through."""
     if isinstance(f, RatFunc):
         return f.evaluate(theta0)
-    return Fraction(f)
+    return as_rational(f)
 
 
 def add_terms(pairs, into: dict | None = None) -> dict:

@@ -12,7 +12,7 @@ from itertools import combinations
 from math import factorial
 from typing import NamedTuple
 
-from superbc.exactalg import INCONSISTENT, SparsePoly, UNIQUE, add_terms, as_scalar, solve_exact
+from superbc.exactalg import INCONSISTENT, SparsePoly, UNIQUE, add_terms, as_rational, as_scalar, solve_exact
 from superbc.partitions import (
     HookParams,
     NotAHook,
@@ -36,8 +36,9 @@ from superbc.superpoly import (
 
 
 class DegenerateNormalization(ArithmeticError):
-    """The normalization target C^-(1;-1) C^+(2q-2p;-1) vanishes, so mode
-    "paper" has no value at grid(mu) to check; raised before any solve."""
+    """The normalization target C^-(1;-1) C^+(2q-2p;-1) vanishes.  Nothing
+    raises it: `interpolation_J` labels such a J "top".  The name stays
+    because the benchmark tracer reads it."""
 
 
 class InconsistentSystem(ArithmeticError):
@@ -62,7 +63,7 @@ class GridPoint(_ValidatedRecord, namedtuple("GridPoint", "hp space coords")):
         want = hp.p + hp.q
         if space == "h":
             want *= 2
-        coords = tuple(Fraction(c) for c in coords)
+        coords = tuple(map(as_rational, coords))
         if len(coords) != want:
             raise ValueError(f"expected {want} coordinates, got {len(coords)}")
         return super().__new__(cls, hp, space, coords)
@@ -292,7 +293,7 @@ def _squared_basis_coefficients(scaled: dict, hp: HookParams, sizes) -> dict:
 
 
 @lru_cache(maxsize=None)
-def interpolation_J(mu: Partition, hp: HookParams, mode: str = "paper") -> InterpolationResult:
+def interpolation_J(mu: Partition, hp: HookParams) -> InterpolationResult:
     """J_mu as Molev's factorial supersymmetric Schur function in x^2, y^2
     with the interpolation nodes, scaled to the top coefficient
     (-1/4)^{|mu|}, and its coefficients in the squared super Jack basis.
@@ -304,24 +305,13 @@ def interpolation_J(mu: Partition, hp: HookParams, mode: str = "paper") -> Inter
     `extended_grid_used` reports; they never contradict it.
 
     This is the one place that labels J: "paper" when the normalization
-    target is nonzero, "top" when it vanishes.  The mode asked for must be
-    that label: "paper" of a degenerate mu raises DegenerateNormalization
-    and "top" of a nondegenerate one ValueError, both before any work.  The
-    value at grid(mu) is measured; `verify normalization` checks it.
+    target is nonzero, "top" when it vanishes.  A mu that is not a
+    (p, q)-hook raises NotAHook before any work.  The value at grid(mu) is
+    measured; `verify normalization` checks it.
     """
-    if mode not in ("paper", "top"):
-        raise ValueError(f"unknown mode {mode!r}")
     if not mu.is_hook(hp):
         raise NotAHook(f"{mu} is not a ({hp.p}, {hp.q})-hook partition")
     degenerate = not normalization_target(mu, hp)
-    if mode == "paper" and degenerate:
-        raise DegenerateNormalization(
-            f"normalization target vanishes for mu = {mu} at (p, q) = ({hp.p}, {hp.q})"
-        )
-    if mode == "top" and not degenerate:
-        raise ValueError(
-            f"normalization target is nonzero for mu = {mu} at (p, q) = ({hp.p}, {hp.q}), so J is paper"
-        )
     # J is (-1/4)^{|mu|} = sign / den times an integer term map
     sign, den = (-1) ** mu.size, 4 ** mu.size
     scaled = factorial_super_schur(mu, hp)
@@ -344,7 +334,7 @@ def interpolation_J(mu: Partition, hp: HookParams, mode: str = "paper") -> Inter
         mu=mu,
         hp=hp,
         poly=poly,
-        mode=mode,
+        mode="top" if degenerate else "paper",
         measured_top_coefficient=coeffs[mu],
         normalization_value=poly.evaluate(grid_point(mu, hp).coords),
         degenerate_normalization=degenerate,
@@ -354,12 +344,9 @@ def interpolation_J(mu: Partition, hp: HookParams, mode: str = "paper") -> Inter
 
 
 def paper_or_top(mu: Partition, hp: HookParams) -> InterpolationResult:
-    """J_mu labelled "paper", or "top" when the normalization target
-    vanishes."""
-    try:
-        return interpolation_J(mu, hp, "paper")
-    except DegenerateNormalization:
-        return interpolation_J(mu, hp, "top")
+    """`interpolation_J(mu, hp)`; kept because the benchmark workloads call
+    it by this name."""
+    return interpolation_J(mu, hp)
 
 
 def k_mu(mu: Partition) -> Fraction:
@@ -378,7 +365,7 @@ class ShimuraImage(NamedTuple):
 
 def shimura_image(mu: Partition, hp: HookParams) -> ShimuraImage:
     """k_mu * J_mu; the result records which normalization mode supplied J."""
-    result = paper_or_top(mu, hp)
+    result = interpolation_J(mu, hp)
     k = k_mu(mu)
     return ShimuraImage(mu, hp, result.poly * k, result.mode, k, result)
 
@@ -485,7 +472,7 @@ def constants_ledger(hp: HookParams, max_size: int) -> tuple:
             ConstantsRow(
                 mu=mu,
                 hp=hp,
-                mode=paper_or_top(mu, hp).mode,
+                mode=interpolation_J(mu, hp).mode,
                 expansion_coefficient=_expansion_coefficient(mu, hp),
                 k_derived=k_derived,
                 k_hook=k_mu(mu),
@@ -511,7 +498,7 @@ def diagonal_values(hp: HookParams, max_size: int) -> tuple:
     ones); they are exactly the degenerate-normalization cases."""
     rows = []
     for mu in enumerate_hooks(hp, max_size, "upto"):
-        j = paper_or_top(mu, hp)
+        j = interpolation_J(mu, hp)
         rows.append(
             DiagonalRow(
                 mu=mu,
@@ -616,7 +603,7 @@ class VerifyReport(NamedTuple):
 def _verify_vanishing(hp: HookParams, max_size: int, window: int) -> list:
     recs = []
     for mu in enumerate_hooks(hp, max_size, "upto"):
-        j = paper_or_top(mu, hp)
+        j = interpolation_J(mu, hp)
         if j.mode == "top":
             recs.append(
                 VerifyRecord("vanishing", hp.p, hp.q, mu, None, j.mode, "degenerate",
@@ -636,7 +623,7 @@ def _verify_vanishing(hp: HookParams, max_size: int, window: int) -> list:
 def _verify_normalization(hp: HookParams, max_size: int) -> list:
     recs = []
     for mu in enumerate_hooks(hp, max_size, "upto"):
-        j = paper_or_top(mu, hp)
+        j = interpolation_J(mu, hp)
         if j.mode == "top":
             recs.append(
                 VerifyRecord("normalization", hp.p, hp.q, mu, None, j.mode, "degenerate",
@@ -663,7 +650,7 @@ def _verify_normalization(hp: HookParams, max_size: int) -> list:
 def _verify_even_symmetry(hp: HookParams, max_size: int) -> list:
     recs = []
     for mu in enumerate_hooks(hp, max_size, "upto"):
-        j = paper_or_top(mu, hp)
+        j = interpolation_J(mu, hp)
         ok = is_even_supersymmetric(j.poly, hp)
         recs.append(
             VerifyRecord("even-symmetry", hp.p, hp.q, mu, None, j.mode,

@@ -7,14 +7,14 @@ from collections import namedtuple
 from functools import lru_cache
 
 
-class NotAHook(ValueError):
-    """Partition violates the (p, q)-hook constraint."""
-
-
 class UsageError(ValueError):
     """A request outside what the package serves: a desk-scale bound, an
     unpaired option or a non-hook argument.  The CLI exits 2 on it, and on
     no other ValueError."""
+
+
+class NotAHook(UsageError):
+    """Partition violates the (p, q)-hook constraint: a usage error."""
 
 
 class _ValidatedRecord:

@@ -23,7 +23,6 @@ from superbc.superpoly import (
     super_jack,
 )
 from superbc.interpbc import (
-    DegenerateNormalization,
     VerifySpec,
     c_factor,
     constants_ledger,
@@ -34,7 +33,6 @@ from superbc.interpbc import (
     interpolation_J,
     k_mu,
     normalization_target,
-    paper_or_top,
     shimura_image,
     verify_properties,
 )
@@ -135,7 +133,7 @@ def test_criterion_4_even_supersymmetry():
     checked = 0
     for hp in PAIRS:
         for mu in enumerate_hooks(hp, 4, "upto"):
-            if not is_even_supersymmetric(paper_or_top(mu, hp).poly, hp):
+            if not is_even_supersymmetric(interpolation_J(mu, hp).poly, hp):
                 ok = False
             sq = squared_substitution(super_jack(mu, hp, ONE), hp)
             if not is_even_supersymmetric(sq, hp):
@@ -149,7 +147,7 @@ def test_criterion_5_interpolation_vanishing():
     checked = 0
     for hp in PAIRS:
         for mu in enumerate_hooks(hp, 4, "upto"):
-            j = paper_or_top(mu, hp)
+            j = interpolation_J(mu, hp)
             for lam in enumerate_hooks(hp, mu.size + 2, "upto"):
                 if lam.contains(mu):
                     continue
@@ -166,17 +164,14 @@ def test_criterion_6_normalization():
     for hp in PAIRS:
         for mu in enumerate_hooks(hp, 4, "upto"):
             target = normalization_target(mu, hp)
+            j = interpolation_J(mu, hp)
             if target == 0:
-                try:
-                    interpolation_J(mu, hp, "paper")
-                    ok = False
-                except DegenerateNormalization:
-                    pass
-                if not interpolation_J(mu, hp, "top").degenerate_normalization:
+                if not (j.mode == "top" and j.degenerate_normalization and j.normalization_value == 0):
                     ok = False
                 degenerate_seen += 1
                 continue
-            j = interpolation_J(mu, hp, "paper")
+            if j.mode != "paper" or j.degenerate_normalization:
+                ok = False
             if j.normalization_value != target:
                 ok = False
             img = shimura_image(mu, hp)
@@ -274,7 +269,7 @@ def test_criterion_10_constants_ledger():
     for hp in PAIRS:
         for row in constants_ledger(hp, 3):
             # the degree-2|mu| part of k~ J_mu is 2^{-|mu|} e_mu SP_mu(x^2, y^2)
-            top = (paper_or_top(row.mu, hp).poly * row.k_derived).homogeneous_part(2 * row.mu.size)
+            top = (interpolation_J(row.mu, hp).poly * row.k_derived).homogeneous_part(2 * row.mu.size)
             sp = squared_substitution(super_jack(row.mu, hp, ONE), hp)
             if top != sp * (Fraction(1, 2) ** row.mu.size * row.expansion_coefficient):
                 ok = False

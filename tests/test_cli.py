@@ -78,7 +78,7 @@ def test_interp_structured_round_trip(capsys):
     assert result["normalization_value"] == "-2"
     assert result["measured_top_coefficient"] == "-1/4"
     poly = SparsePoly.from_record(result["polynomial"])
-    assert poly == interpolation_J(Partition.of(1), HookParams(2, 1), "paper").poly
+    assert poly == interpolation_J(Partition.of(1), HookParams(2, 1)).poly
 
 
 def test_text_and_structured_agree(capsys):
@@ -228,6 +228,8 @@ _USAGE_ERRORS = [
     ("error: bounds exceed desk scale", ("verify", "vanishing", "--p", "1", "--q", "1", "--max-size", "7")),
     ("error: bounds exceed desk scale", ("verify", "vanishing", "--p", "1", "--q", "1", "--window", "5")),
     ("error: 2,2 is not a (1, 1)-hook partition", ("interp", "--mu", "2,2", "--p", "1", "--q", "1")),
+    ("error: 5,4 is not a (1, 1)-hook partition", ("grid", "--lambda", "5,4", "--p", "1", "--q", "1")),
+    ("error: 2,2 is not a (1, 1)-hook partition", ("kmu", "--mu", "2,2", "--p", "1", "--q", "1")),
     ("error: --p and --q must be given together", ("kmu", "--mu", "1", "--q", "2")),
     ("error: theta = 0 is a degenerate Jack parameter", ("superjack", "--mu", "2", "--p", "1", "--q", "1", "--theta", "0")),
 ]

@@ -49,6 +49,23 @@ def test_ratfunc_canonical_form():
         RatFunc(1, 0)
 
 
+def test_ratfunc_coefficients_are_exact():
+    for num, den in (([0.1, 1], 1), (0.5, 1), (1, [1, 0.5])):
+        with pytest.raises(TypeError, match="expected an exact scalar, got float"):
+            RatFunc(num, den)
+    with pytest.raises(TypeError, match="expected an exact scalar, got str"):
+        RatFunc(["1/3", 1])
+    for num in (THETA, [1, THETA]):
+        with pytest.raises(TypeError, match="nested rational functions"):
+            RatFunc(num)
+
+
+def test_the_evaluation_point_is_exact():
+    for call in (lambda: (THETA + 1).evaluate(0.1), lambda: scalar_eval(THETA, 0.1), lambda: scalar_eval(0.1, 1)):
+        with pytest.raises(TypeError, match="expected an exact scalar, got float"):
+            call()
+
+
 def test_ratfunc_powers_and_division():
     assert THETA**0 == 1
     assert THETA**-2 == 1 / THETA**2

@@ -9,7 +9,6 @@ import pytest
 from superbc.exactalg import SparsePoly, THETA, solve_exact
 from superbc.partitions import HookParams, Partition, enumerate_hooks, partitions_of, sort_key
 from superbc.interpbc import (
-    DegenerateNormalization,
     GridPoint,
     VerifySpec,
     c_factor,
@@ -27,7 +26,7 @@ from superbc.interpbc import (
     verify_properties,
     weyl_vectors,
 )
-from superbc.partitions import NotAHook
+from superbc.partitions import NotAHook, UsageError
 from superbc.superpoly import a_variables, is_even_supersymmetric, phi_theta, squared_substitution
 from superbc.symmfunc import jack_P
 
@@ -107,6 +106,8 @@ def test_grid_point_examples():
     assert grid_point(P(1, 1), hp).coords == (1, 3)
     with pytest.raises(NotAHook):
         grid_point(P(2, 2), hp)
+    # the library's own hook check is what the CLI reports with exit 2
+    assert issubclass(NotAHook, UsageError)
 
 
 def test_grid_point_arity_validation():
@@ -118,6 +119,13 @@ def test_grid_point_arity_validation():
     for build in (lambda: GridPoint(hp, "c", (1, 2)), lambda: GridPoint._make((hp, "c", (1, 2)))):
         with pytest.raises(ValueError, match=re.escape("unknown space 'c'")):
             build()
+
+
+def test_grid_point_coordinates_are_exact():
+    hp = HookParams(1, 1)
+    for coords, kind in (((0.1, 2), "float"), (("1/3", 2), "str")):
+        with pytest.raises(TypeError, match=f"expected an exact scalar, got {kind}"):
+            GridPoint(hp, "a", coords)
 
 
 def test_grid_point_record_semantics():
@@ -141,7 +149,7 @@ def test_grid_point_record_semantics():
 
 def test_interpolation_empty_partition():
     for hp in PAIRS:
-        j = paper_or_top(Partition(), hp)
+        j = interpolation_J(Partition(), hp)
         assert j.mode == "paper"
         assert j.poly == SparsePoly.constant(j.poly.vars, 1)
         assert j.normalization_value == 1
@@ -150,7 +158,7 @@ def test_interpolation_empty_partition():
 
 def test_interpolation_paper_example_21():
     hp = HookParams(2, 1)
-    j = interpolation_J(P(1), hp, "paper")
+    j = interpolation_J(P(1), hp)
     expected = SparsePoly(
         ("x1", "x2", "y1"),
         {
@@ -170,9 +178,8 @@ def test_interpolation_paper_example_21():
 
 def test_interpolation_degenerate_11():
     hp = HookParams(1, 1)
-    with pytest.raises(DegenerateNormalization):
-        interpolation_J(P(1), hp, "paper")
-    j = interpolation_J(P(1), hp, "top")
+    j = interpolation_J(P(1), hp)
+    assert j.mode == "top"
     assert j.poly == SparsePoly(("x1", "y1"), {(2, 0): Fraction(-1, 4), (0, 2): Fraction(1, 4)})
     assert j.degenerate_normalization
     assert j.normalization_value == 0
@@ -182,27 +189,21 @@ def test_the_mode_is_the_degenerate_normalization_flag():
     labels = set()
     for hp in PAIRS:
         for mu in enumerate_hooks(hp, 4, "upto"):
-            j = paper_or_top(mu, hp)
+            j = interpolation_J(mu, hp)
             assert (j.mode == "top") == j.degenerate_normalization, (hp, mu)
             labels.add(j.mode)
     assert labels == {"paper", "top"}
 
 
-def test_top_of_a_nondegenerate_mu_is_refused_before_any_work(monkeypatch):
-    import superbc.interpbc
-
-    def no_work(mu, hp):
-        raise AssertionError("J was built")
-
-    monkeypatch.setattr(superbc.interpbc, "factorial_super_schur", no_work)
-    refused = 0
-    for hp in PAIRS:
-        for mu in enumerate_hooks(hp, 4, "upto"):
-            if normalization_target(mu, hp):
-                with pytest.raises(ValueError, match="so J is paper"):
-                    interpolation_J(mu, hp, "top")
-                refused += 1
-    assert refused > 0
+def test_a_degenerate_mu_costs_one_cache_miss():
+    # paper_or_top passes through, so J is built once per mu, degenerate or
+    # not: 47 hooks, 13 of them degenerate
+    interpolation_J.cache_clear()
+    for _ in range(3):
+        for hp in PAIRS:
+            for mu in enumerate_hooks(hp, 4, "upto"):
+                paper_or_top(mu, hp)
+    assert interpolation_J.cache_info().misses == 47
 
 
 def test_normalization_target_transpose_convention():
@@ -210,15 +211,15 @@ def test_normalization_target_transpose_convention():
     hp = HookParams(2, 1)
     assert normalization_target(P(1, 1), hp) == 0
     assert normalization_target(P(2), hp) == 24
-    j = interpolation_J(P(2), hp, "paper")
+    j = interpolation_J(P(2), hp)
     assert j.normalization_value == 24
 
 
 def test_extended_grid_used():
     # sizes >= 3 at (2,1) leave the initial window underdetermined
-    j = paper_or_top(P(3), HookParams(2, 1))
+    j = interpolation_J(P(3), HookParams(2, 1))
     assert j.extended_grid_used
-    j = paper_or_top(P(1), HookParams(2, 1))
+    j = interpolation_J(P(1), HookParams(2, 1))
     assert not j.extended_grid_used
 
 
@@ -241,7 +242,7 @@ def test_one_more_window_step_keeps_the_coefficients():
 
     for hp in (HookParams(2, 1), HookParams(2, 2), HookParams(3, 3)):
         for mu in enumerate_hooks(hp, 4, "upto"):
-            j = paper_or_top(mu, hp)
+            j = interpolation_J(mu, hp)
             window, solution = _first_unique(_vanishing_system, mu, hp)
             assert j.extended_grid_used == (window > 0)
             assert solution.items() <= dict(j.coefficients).items()
@@ -259,7 +260,7 @@ def test_closed_form_j_is_the_windowed_vanishing_solve():
     checked = 0
     for hp, max_size in [(hp, 5) for hp in PAIRS] + [(HookParams(3, 3), 4)]:
         for mu in enumerate_hooks(hp, max_size, "upto"):
-            j = paper_or_top(mu, hp)
+            j = interpolation_J(mu, hp)
             window, solution = _first_unique(_vanishing_system, mu, hp)
             solution[mu] = Fraction(-1, 4) ** mu.size
             assert j.poly == combination(solution.items(), hp), (hp, mu)
@@ -321,7 +322,7 @@ def test_imposing_the_normalization_gives_the_same_j():
         for mu in enumerate_hooks(hp, max_size, "upto"):
             if not normalization_target(mu, hp):
                 continue
-            j = interpolation_J(mu, hp, "paper")
+            j = interpolation_J(mu, hp)
             window, solution = _first_unique(_paper_system, mu, hp, cap=3)
             assert window == _first_unique(_vanishing_system, mu, hp, cap=3)[0], (hp, mu)
             assert j.extended_grid_used == (window > 0)
@@ -380,7 +381,7 @@ def test_vanishing_system_has_no_repeated_rows():
 def test_window_cap_pins_j7_at_32():
     # a vanishing solve pins J_(7) at (3, 2) only with five extra window sizes
     hp, mu = HookParams(3, 2), P(7)
-    j = paper_or_top(mu, hp)
+    j = interpolation_J(mu, hp)
     assert j.mode in ("paper", "top") and j.extended_grid_used
     for lam in enumerate_hooks(hp, mu.size + 5, "upto"):
         if not lam.contains(mu):
@@ -390,7 +391,7 @@ def test_window_cap_pins_j7_at_32():
 def test_vanishing_with_window():
     for hp in PAIRS[:2]:
         for mu in enumerate_hooks(hp, 3, "upto"):
-            j = paper_or_top(mu, hp)
+            j = interpolation_J(mu, hp)
             for lam in enumerate_hooks(hp, mu.size + 2, "upto"):
                 if lam.contains(mu):
                     continue
@@ -400,7 +401,7 @@ def test_vanishing_with_window():
 def test_top_degree_shape():
     for hp in PAIRS:
         for mu in enumerate_hooks(hp, 3, "upto"):
-            j = paper_or_top(mu, hp)
+            j = interpolation_J(mu, hp)
             t = j.measured_top_coefficient
             assert t != 0
             from superbc.interpbc import _sp_squared
@@ -414,7 +415,7 @@ def test_evaluation_matrix_upper_triangular():
         hooks = enumerate_hooks(hp, 3, "upto")
         assert hooks == sorted(hooks, key=sort_key)
         for i, mu in enumerate(hooks):
-            j = paper_or_top(mu, hp)
+            j = interpolation_J(mu, hp)
             for lam in hooks[:i]:
                 if not lam.contains(mu):
                     assert j.poly.evaluate(grid_point(lam, hp).coords) == 0
@@ -422,7 +423,7 @@ def test_evaluation_matrix_upper_triangular():
 
 def test_w0_invariance_of_values():
     hp = HookParams(2, 2)
-    j = paper_or_top(P(2, 1), hp)
+    j = interpolation_J(P(2, 1), hp)
     rng = random.Random(412)
     for _ in range(20):
         xs = [Fraction(rng.randint(-7, 7), rng.randint(1, 5)) for _ in range(2)]
@@ -438,7 +439,7 @@ def test_w0_invariance_of_values():
 def test_even_supersymmetry_of_j():
     for hp in PAIRS:
         for mu in enumerate_hooks(hp, 3, "upto"):
-            assert is_even_supersymmetric(paper_or_top(mu, hp).poly, hp)
+            assert is_even_supersymmetric(interpolation_J(mu, hp).poly, hp)
 
 
 def test_diagonal_values_report():
@@ -462,7 +463,7 @@ def test_shimura_image_examples():
     hp = HookParams(2, 1)
     img = shimura_image(P(1), hp)
     assert img.mode == "paper"
-    assert img.poly == interpolation_J(P(1), hp, "paper").poly * Fraction(-1)
+    assert img.poly == interpolation_J(P(1), hp).poly * Fraction(-1)
     # value at the point of mu: k_mu times the normalization target
     got = img.poly.evaluate(grid_point(P(1), hp).coords)
     assert got == k_mu(P(1)) * normalization_target(P(1), hp) == 2
@@ -602,7 +603,7 @@ def test_derive_k_is_the_quotient_by_the_measured_top_coefficient():
     for hp in PAIRS:
         for mu in enumerate_hooks(hp, 4, "upto"):
             e = next(en.coefficient for en in expansion_identity(mu.size, hp).entries if en.nu == mu)
-            top = paper_or_top(mu, hp).measured_top_coefficient
+            top = interpolation_J(mu, hp).measured_top_coefficient
             assert derive_k(mu, hp) == Fraction(1, 2) ** mu.size * e / top
 
 
@@ -613,7 +614,7 @@ def test_constants_ledger_consistency():
 
     for hp in PAIRS[:2]:
         for row in constants_ledger(hp, 2):
-            j = paper_or_top(row.mu, hp).poly
+            j = interpolation_J(row.mu, hp).poly
             top = (j * row.k_derived).homogeneous_part(2 * row.mu.size)
             scale = Fraction(1, 2) ** row.mu.size * row.expansion_coefficient
             assert top == _sp_squared(row.mu, hp) * scale
