@@ -8,7 +8,7 @@ encountered and routed through the top-coefficient fallback.
 import argparse
 import sys
 
-from superbc.interpbc import VerifySpec, verify_properties
+from superbc.interpbc import VerifyReport, VerifySpec, verify_properties
 from superbc.partitions import HookParams
 
 PAIRS = ((1, 1), (2, 1), (1, 2), (2, 2))
@@ -21,20 +21,17 @@ def main() -> int:
     parser.add_argument("--quiet", action="store_true", help="print summaries only")
     args = parser.parse_args()
 
-    worst = 0
+    records = []
     for p, q in PAIRS:
         report = verify_properties(VerifySpec("all", HookParams(p, q), args.max_size, args.window))
         print(f"== (p, q) = ({p}, {q}) ==")
         lines = report.text_lines()
         for line in lines if not args.quiet else lines[-1:]:
             print(line)
-        code = report.exit_code
-        if code == 1 or worst == 1:
-            worst = 1
-        else:
-            worst = max(worst, code)
-    print(f"combined exit code: {worst}")
-    return worst
+        records.extend(report.records)
+    code = VerifyReport(tuple(records)).exit_code
+    print(f"combined exit code: {code}")
+    return code
 
 
 if __name__ == "__main__":

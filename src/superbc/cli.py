@@ -4,10 +4,10 @@ with canonical text or structured JSON output.
 A call depends only on its arguments: it reads and writes no file.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a
-`UsageError`, or a `DegenerateParameter`: theta = 0 or a pole of the Jack
-polynomial asked for), 3 degenerate normalization (J_mu labelled top), 4
-internal error (any other arithmetic or value error: an exact computation
-that cannot fail did, e.g. an inconsistent system).
+`UsageError`: a desk-scale bound, a non-hook argument or a degenerate Jack
+parameter), 3 degenerate normalization (J_mu labelled top), 4 internal
+error (any other exception: an exact computation that cannot fail did,
+e.g. an inconsistent system).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 import superbc
-from superbc.exactalg import signed_sum_text
+from superbc.exactalg import rational_record
 from superbc.interpbc import (
     DESK_PQ,
     PROPERTIES,
@@ -31,10 +31,10 @@ from superbc.interpbc import (
     k_mu,
     verify_properties,
 )
-from superbc.partitions import HookParams, Partition, UsageError, enumerate_hooks, sort_key
+from superbc.partitions import HookParams, Partition, UsageError, enumerate_hooks
 from superbc.superpoly import super_jack
 # load_jack_cache is unused here; bench/tests/test_harness.py asserts the tracer rebinds it
-from superbc.symmfunc import DegenerateParameter, jack_P, load_jack_cache
+from superbc.symmfunc import jack_P, load_jack_cache
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -58,24 +58,23 @@ def _glue_negative_rationals(argv: list) -> list:
     return out
 
 
-def _positive(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return v
+def _integer(least: int):
+    """argparse type of the integers >= least, 1 or 0."""
+    kind = "positive" if least else "nonnegative"
+
+    def parse(text: str) -> int:
+        try:
+            v = int(text)
+            if v >= least:
+                return v
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+
+    return parse
 
 
-def _nonnegative(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return v
+_positive, _nonnegative = _integer(1), _integer(0)
 
 
 def _partition(text: str) -> Partition:
@@ -113,26 +112,6 @@ def _desk_scale(command: str, size: int, hp: HookParams | None = None) -> None:
         bound, where = _DESK_SIZE[command][max(hp.p, hp.q) - 1], f" at (p, q) = ({hp.p}, {hp.q})"
     if size > bound:
         raise UsageError(f"{command} is desk scale: size <= {bound}{where}, got {size}")
-
-
-def _coeff_record(c) -> dict:
-    c = Fraction(c) if not isinstance(c, Fraction) else c
-    return {"num": str(c.numerator), "den": str(c.denominator)}
-
-
-def _symfun_records(f) -> dict:
-    terms = [
-        {"partition": str(lam), "coefficient": _coeff_record(c)}
-        for lam, c in sorted(f.coeffs.items(), key=lambda kv: sort_key(kv[0]))
-    ]
-    return {"basis": "p", "terms": terms}
-
-
-def _symfun_text(f) -> str:
-    return signed_sum_text(
-        (str(c), f"p[{lam}]")
-        for lam, c in sorted(f.coeffs.items(), key=lambda kv: sort_key(kv[0]))
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -213,8 +192,8 @@ def _cmd_hooks(args):
 def _cmd_jack(args):
     _desk_scale("jack", args.mu.size)
     f = jack_P(args.mu, args.theta)
-    result = {"mu": str(args.mu), "theta": str(args.theta), "symfun": _symfun_records(f)}
-    return 0, result, [f"P[{args.mu}](theta={args.theta}) = {_symfun_text(f)}"]
+    result = {"mu": str(args.mu), "theta": str(args.theta), "symfun": f.to_record()}
+    return 0, result, [f"P[{args.mu}](theta={args.theta}) = {f.to_text()}"]
 
 
 def _cmd_superjack(args):
@@ -251,7 +230,7 @@ def _interp_result(j) -> dict:
         "degenerate_normalization": j.degenerate_normalization,
         "extended_grid_used": j.extended_grid_used,
         "coefficients": [
-            {"partition": str(nu), "coefficient": _coeff_record(c)} for nu, c in j.coefficients
+            {"partition": str(nu), "coefficient": rational_record(c)} for nu, c in j.coefficients
         ],
     }
 
@@ -296,8 +275,8 @@ def _cmd_expand(args):
     entries = [
         {
             "partition": str(en.nu),
-            "coefficient": _coeff_record(en.coefficient),
-            "hook_product": _coeff_record(en.hook_product),
+            "coefficient": rational_record(en.coefficient),
+            "hook_product": rational_record(en.hook_product),
             "direct": en.direct,
             "reciprocal": en.reciprocal,
         }
@@ -342,13 +321,13 @@ def run(argv=None) -> int:
     args = parser.parse_args(_glue_negative_rationals(sys.argv[1:] if argv is None else list(argv)))
     try:
         code, result, lines = args.func(args)
-    except (UsageError, DegenerateParameter) as err:
+    except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (ArithmeticError, ValueError) as err:
+    except Exception as err:
         # an exact computation that cannot fail did: an inconsistent
-        # vanishing system, a division that should have been exact, or a
-        # check on data the program built itself
+        # vanishing system, a division that should have been exact, a
+        # check on data the program built itself, or any other fault
         print(f"internal error: {err}", file=sys.stderr)
         return 4
     if args.format == "structured":

@@ -169,11 +169,13 @@ def _peval(a: tuple, x: Fraction) -> Fraction:
 
 
 def signed_sum_text(pairs) -> str:
-    """Join (coefficient text, monomial text) pairs into one signed sum.  A
-    unit coefficient is left out, an empty monomial stands for 1, and a
-    leading minus sign becomes the joining operator; no terms print as 0."""
+    """Join (coefficient, monomial text) pairs into one signed sum.  A
+    rational function that is not constant is put in parentheses, a unit
+    coefficient is left out, an empty monomial stands for 1, and a leading
+    minus sign becomes the joining operator; no terms print as 0."""
     text = ""
-    for cs, mon in pairs:
+    for c, mon in pairs:
+        cs = f"({c})" if isinstance(c, RatFunc) and not c.is_constant() else str(c)
         if not mon:
             piece = cs
         elif cs == "1":
@@ -193,10 +195,21 @@ def signed_sum_text(pairs) -> str:
 
 def _ptext(cs: tuple, sym: str) -> str:
     return signed_sum_text(
-        (str(cs[e]), "" if e == 0 else sym if e == 1 else f"{sym}^{e}")
+        (cs[e], "" if e == 0 else sym if e == 1 else f"{sym}^{e}")
         for e in range(len(cs) - 1, -1, -1)
         if cs[e]
     )
+
+
+def _power(base, e: int, one):
+    """base ** e for an integer e >= 0, by square-and-multiply from `one`."""
+    out = one
+    while e:
+        if e & 1:
+            out = out * base
+        base = base * base
+        e >>= 1
+    return out
 
 
 def as_rational(v) -> Fraction:
@@ -329,14 +342,7 @@ class RatFunc:
             if not self.num:
                 raise ZeroDivisionError("negative power of the zero rational function")
             return RatFunc(self.den, self.num) ** (-e)
-        out = RatFunc(1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, e, RatFunc(1))
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -377,6 +383,13 @@ class RatFunc:
         return f"({num})/({den})"
 
     __repr__ = __str__
+
+
+def rational_record(c) -> dict:
+    """Serialization record {"num", "den"} of a rational coefficient; a
+    rational function must be constant."""
+    c = c.constant_value() if isinstance(c, RatFunc) else as_rational(c)
+    return {"num": str(c.numerator), "den": str(c.denominator)}
 
 
 def _product(a: tuple, b: tuple, c: tuple, d: tuple) -> RatFunc:
@@ -610,14 +623,7 @@ class SparsePoly:
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             return NotImplemented
-        out = SparsePoly.constant(self.vars, 1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, e, SparsePoly.constant(self.vars, 1))
 
     def __eq__(self, other):
         if isinstance(other, SparsePoly):
@@ -739,10 +745,7 @@ class SparsePoly:
             mon = "*".join(
                 (v if k == 1 else f"{v}^{k}") for v, k in zip(self.vars, exps) if k
             )
-            cs = str(c)
-            if isinstance(c, RatFunc) and not c.is_constant():
-                cs = f"({cs})"
-            pairs.append((cs, mon))
+            pairs.append((c, mon))
         return signed_sum_text(pairs)
 
     def __str__(self) -> str:
@@ -753,16 +756,9 @@ class SparsePoly:
 
     def to_record(self) -> dict:
         """Serialization record; coefficients must be rational."""
-        terms = []
-        for exps, c in self.sorted_terms():
-            if isinstance(c, RatFunc):
-                c = c.constant_value()
-            terms.append(
-                {
-                    "exponents": list(exps),
-                    "coefficient": {"num": str(c.numerator), "den": str(c.denominator)},
-                }
-            )
+        terms = [
+            {"exponents": list(exps), "coefficient": rational_record(c)} for exps, c in self.sorted_terms()
+        ]
         return {"variables": list(self.vars), "terms": terms}
 
     @classmethod

@@ -15,7 +15,6 @@ from typing import NamedTuple
 from superbc.exactalg import INCONSISTENT, SparsePoly, UNIQUE, add_terms, as_rational, as_scalar, solve_exact
 from superbc.partitions import (
     HookParams,
-    NotAHook,
     Partition,
     UsageError,
     _ValidatedRecord,
@@ -121,9 +120,8 @@ def weyl_vectors(hp: HookParams) -> tuple:
 
 @lru_cache(maxsize=None)
 def grid_point(lam: Partition, hp: HookParams) -> GridPoint:
-    """Shifted partition point 2*(lam_1..lam_p, <lam'_j - p>) + rho."""
-    if not lam.is_hook(hp):
-        raise NotAHook(f"{lam} is not a ({hp.p}, {hp.q})-hook partition")
+    """Shifted partition point 2*(lam_1..lam_p, <lam'_j - p>) + rho; a lam
+    that is not a (p, q)-hook raises NotAHook from `lambda_natural`."""
     rho, _ = weyl_vectors(hp)
     nat = lambda_natural(lam, hp.p, hp.q)
     return GridPoint(hp, "a", tuple(2 * n + r for n, r in zip(nat, rho.coords)))
@@ -309,17 +307,14 @@ def interpolation_J(mu: Partition, hp: HookParams) -> InterpolationResult:
     (p, q)-hook raises NotAHook before any work.  The value at grid(mu) is
     measured; `verify normalization` checks it.
     """
-    if not mu.is_hook(hp):
-        raise NotAHook(f"{mu} is not a ({hp.p}, {hp.q})-hook partition")
+    mu.require_hook(hp)
     degenerate = not normalization_target(mu, hp)
-    # J is (-1/4)^{|mu|} = sign / den times an integer term map
-    sign, den = (-1) ** mu.size, 4 ** mu.size
+    # J is its top coefficient times an integer term map
+    top = _fixed_top(mu)
     scaled = factorial_super_schur(mu, hp)
-    poly = SparsePoly._raw(a_variables(hp), {e: Fraction(sign * c, den) for e, c in scaled.items()})
-    coeffs = {
-        nu: Fraction(sign * b, den)
-        for nu, b in _squared_basis_coefficients(scaled, hp, range(mu.size + 1)).items()
-    }
+    poly = SparsePoly._raw(a_variables(hp), {e: top * c for e, c in scaled.items()})
+    coeffs = _squared_basis_coefficients(scaled, hp, range(mu.size + 1))
+    coeffs = {nu: top * b for nu, b in coeffs.items()}
     unknowns, matrix, rhs = _vanishing_system(mu, hp, 0)
     outcome = solve_exact(matrix, rhs, ncols=len(unknowns))
     if outcome.tag == INCONSISTENT:
@@ -443,8 +438,7 @@ def derive_k(mu: Partition, hp: HookParams) -> Fraction:
     with e_mu the expansion coefficient and t_mu the top coefficient of J_mu.
     The construction fixes t_mu = (-1/4)^{|mu|}, so this is (-2)^{|mu|} e_mu
     and builds no J."""
-    if not mu.is_hook(hp):
-        raise NotAHook(f"{mu} is not a ({hp.p}, {hp.q})-hook partition")
+    mu.require_hook(hp)
     return (-2) ** mu.size * _expansion_coefficient(mu, hp)
 
 
@@ -636,9 +630,7 @@ def _verify_normalization(hp: HookParams, max_size: int) -> list:
                          str(j.normalization_value))
         )
         image = shimura_image(mu, hp)
-        expected = Fraction(-1) ** mu.size * c_factor(mu, 1, -1, "minus") ** 2 * c_factor(
-            mu.transpose(), 2 * hp.q - 2 * hp.p, -1, "plus"
-        )
+        expected = k_mu(mu) * normalization_target(mu, hp)
         got = image.poly.evaluate(grid_point(mu, hp).coords)
         recs.append(
             VerifyRecord("normalization", hp.p, hp.q, mu, None, "shimura",

@@ -17,6 +17,15 @@ class NotAHook(UsageError):
     """Partition violates the (p, q)-hook constraint: a usage error."""
 
 
+def _exact_ints(values: tuple) -> tuple:
+    """The values, if each is an int; a bool, a float or anything else
+    raises."""
+    for v in values:
+        if type(v) is not int:
+            raise TypeError(f"expected an exact integer, got {type(v).__name__}")
+    return values
+
+
 class _ValidatedRecord:
     """Base of the namedtuple records whose __new__ checks its fields: the
     namedtuple helpers that rebuild a record go through that check too."""
@@ -39,6 +48,7 @@ class HookParams(_ValidatedRecord, namedtuple("HookParams", "p q")):
     __slots__ = ()
 
     def __new__(cls, p: int, q: int) -> "HookParams":
+        _exact_ints((p, q))
         if p < 1 or q < 1:
             raise ValueError(f"hook parameters must be positive, got ({p}, {q})")
         return super().__new__(cls, p, q)
@@ -52,7 +62,7 @@ class Partition(_ValidatedRecord, namedtuple("Partition", "parts")):
     __slots__ = ()
 
     def __new__(cls, parts=()) -> "Partition":
-        parts = tuple(int(v) for v in parts)
+        parts = _exact_ints(tuple(parts))
         if any(v < 0 for v in parts):
             raise ValueError(f"negative part in {parts!r}")
         n = len(parts)
@@ -123,6 +133,11 @@ class Partition(_ValidatedRecord, namedtuple("Partition", "parts")):
     def is_hook(self, hp: HookParams) -> bool:
         return self.part(hp.p + 1) <= hp.q
 
+    def require_hook(self, hp: HookParams) -> None:
+        """Raise NotAHook unless this is a (p, q)-hook partition."""
+        if not self.is_hook(hp):
+            raise NotAHook(f"{self} is not a ({hp.p}, {hp.q})-hook partition")
+
     def boxes(self):
         """Yield the diagram cells (i, j), 1-based."""
         for i, v in enumerate(self.parts, start=1):
@@ -156,23 +171,21 @@ def partitions_of(d: int) -> tuple[Partition, ...]:
 
 @lru_cache(maxsize=None)
 def _hooks_exact(p: int, q: int, d: int) -> tuple[Partition, ...]:
-    """Partitions of d whose rows after the p-th have length <= q; the row cap
-    prunes the recursion, so the cost follows the output, not p(d)."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, cap: int, row: int, prefix: tuple[int, ...]) -> None:
-        if remaining == 0:
-            out.append(prefix)
-            return
-        limit = min(cap, remaining)
-        if row > p:
-            limit = min(limit, q)
-        for v in range(limit, 0, -1):
-            rec(remaining - v, v, row + 1, prefix + (v,))
-
-    rec(d, d, 1, ())
-    out.sort(key=lambda t: tuple(-v for v in t))
-    return tuple(Partition(t) for t in out)
+    """Partitions of d whose rows after the p-th have length <= q, depth
+    first with the largest next row first, which is reverse-lexicographic
+    order.  The row cap prunes the search, so the cost follows the output,
+    not p(d), and an explicit stack keeps it off the interpreter's."""
+    out = []
+    stack = [((), d)]
+    while stack:
+        prefix, remaining = stack.pop()
+        if not remaining:
+            out.append(Partition(prefix))
+            continue
+        limit = min(prefix[-1] if prefix else d, remaining, q if len(prefix) >= p else d)
+        # the stack pops the largest next row first
+        stack.extend((prefix + (v,), remaining - v) for v in range(1, limit + 1))
+    return tuple(out)
 
 
 def enumerate_hooks(hp: HookParams, d: int, mode: str = "exact") -> list[Partition]:
@@ -193,8 +206,7 @@ def enumerate_hooks(hp: HookParams, d: int, mode: str = "exact") -> list[Partiti
 def lambda_natural(lam: Partition, m: int, n: int) -> tuple[int, ...]:
     """(lam_1 .. lam_m, <lam'_1 - m>, ..., <lam'_n - m>) where <x> = max(x, 0);
     the tail lists the column lengths left after removing the first m rows."""
-    if lam.part(m + 1) > n:
-        raise NotAHook(f"{lam} is not an ({m}, {n})-hook partition")
+    lam.require_hook(HookParams(m, n))
     lamt = lam.transpose()
     head = tuple(lam.part(i) for i in range(1, m + 1))
     tail = tuple(max(lamt.part(j) - m, 0) for j in range(1, n + 1))

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from math import factorial
 from threading import Lock, get_ident
 
 from superbc.exactalg import (
@@ -26,15 +28,18 @@ from superbc.exactalg import (
     add_products,
     add_terms,
     as_scalar,
+    rational_record,
+    signed_sum_text,
     # unused here since the m -> p table is built by back-substitution, but
     # bench/tests checks that the tracer rebinds every module's solve_exact
     solve_exact,
 )
-from superbc.partitions import Partition, partitions_of, sort_key
+from superbc.partitions import Partition, UsageError, partitions_of, sort_key
 
 
-class DegenerateParameter(ArithmeticError):
-    """The deformation parameter is 0, or a pole of a Jack coefficient."""
+class DegenerateParameter(UsageError, ArithmeticError):
+    """The deformation parameter is 0, or a pole of a Jack coefficient: a
+    usage error."""
 
 
 class SymFun:
@@ -116,24 +121,27 @@ class SymFun:
     def degree(self) -> int:
         return max((lam.size for lam in self.coeffs), default=-1)
 
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        bits = [f"{c}*p[{lam}]" for lam, c in sorted(self.coeffs.items(), key=lambda kv: sort_key(kv[0]))]
-        return " + ".join(bits)
+    def sorted_terms(self) -> list:
+        """(partition, coefficient) pairs in enumeration order."""
+        return sorted(self.coeffs.items(), key=lambda kv: sort_key(kv[0]))
+
+    def to_text(self) -> str:
+        return signed_sum_text((c, f"p[{lam}]") for lam, c in self.sorted_terms())
+
+    __repr__ = to_text
+
+    def to_record(self) -> dict:
+        """Serialization record in the power-sum basis; coefficients must be
+        rational."""
+        terms = [{"partition": str(lam), "coefficient": rational_record(c)} for lam, c in self.sorted_terms()]
+        return {"basis": "p", "terms": terms}
 
 
 def z_lambda(lam: Partition) -> int:
     """Product of i^{m_i} m_i! over part multiplicities m_i."""
     out = 1
-    mult: dict[int, int] = {}
-    for v in lam.parts:
-        mult[v] = mult.get(v, 0) + 1
-    for v, m in mult.items():
-        fact = 1
-        for k in range(2, m + 1):
-            fact *= k
-        out *= v**m * fact
+    for v, m in Counter(lam.parts).items():
+        out *= v**m * factorial(m)
     return out
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from superbc.cli import _DESK_JACK_SIZE, _DESK_SIZE, _desk_scale, run
 from superbc.exactalg import INCONSISTENT, LinearSolveOutcome, SparsePoly
 from superbc.interpbc import DESK_PQ, interpolation_J
 from superbc.partitions import HookParams, Partition, enumerate_hooks
+from superbc.symmfunc import jack_P
 
 
 def invoke(capsys, *argv):
@@ -232,6 +234,8 @@ _USAGE_ERRORS = [
     ("error: 2,2 is not a (1, 1)-hook partition", ("kmu", "--mu", "2,2", "--p", "1", "--q", "1")),
     ("error: --p and --q must be given together", ("kmu", "--mu", "1", "--q", "2")),
     ("error: theta = 0 is a degenerate Jack parameter", ("superjack", "--mu", "2", "--p", "1", "--q", "1", "--theta", "0")),
+    ("error: theta = 0 is a degenerate Jack parameter", ("jack", "--mu", "2", "--theta", "0")),
+    ("error: P[2] has a pole at theta = -1", ("jack", "--mu", "2", "--theta", "-1")),
 ]
 
 
@@ -254,6 +258,38 @@ def test_an_internal_value_error_exits_4(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 4 and captured.out == ""
     assert captured.err == "internal error: parts not weakly decreasing: (1, 2)\n"
+
+
+@pytest.mark.parametrize("fault", [RuntimeError("no progress"), KeyError("nu"), RecursionError("deep")], ids=repr)
+def test_any_other_exception_exits_4(fault, monkeypatch, capsys):
+    # a UsageError exits 2 and every other exception 4: none leaves run
+    # with a traceback and exit 1, which means a failed verification
+    def broken(*args, **kwargs):
+        raise fault
+
+    monkeypatch.setattr(superbc.cli, "expansion_identity", broken)
+    code = run(["expand", "--size", "2", "--p", "1", "--q", "1"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == f"internal error: {fault}\n"
+
+
+def test_hooks_past_the_recursion_limit(capsys):
+    # the recursive hook search raised RecursionError here
+    code, out = invoke(capsys, "hooks", "--p", "1", "--q", "1", "--size", "1200")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 1200
+    assert lines[0] == "1200" and lines[-1] == ",".join(["1"] * 1200)
+
+
+@pytest.mark.parametrize("mu, theta", [("2,1", "1"), ("3,1", "-1/2"), ("2,2", "3/7"), ("1,1", "-1")])
+def test_jack_prints_the_symfun_text(mu, theta, capsys):
+    code, out = invoke(capsys, "jack", "--mu", mu, "--theta", theta)
+    f = jack_P(Partition.parse(mu), Fraction(theta))
+    assert code == 0
+    assert out == f"P[{mu}](theta={theta}) = {f.to_text()}\n"
+    code, out = invoke(capsys, "jack", "--mu", mu, "--theta", theta, "--format", "structured")
+    assert json.loads(out)["result"]["symfun"] == f.to_record()
 
 
 def test_verify_structured_determinism():

@@ -10,6 +10,7 @@ from superbc.partitions import (
     HookParams,
     NotAHook,
     Partition,
+    _hooks_exact,
     enumerate_hooks,
     lambda_natural,
     partitions_of,
@@ -167,6 +168,40 @@ def test_hook_params_validation():
             build()
     assert HookParams(2, 1)._replace(q=3) == HookParams(2, 3)
     assert HookParams._make([1, 2]) == HookParams(1, 2)
+
+
+@pytest.mark.parametrize("parts", [(2.7, 1), ("3", True), (2, True), (2.0,)], ids=repr)
+def test_partition_parts_must_be_ints(parts):
+    # int() used to truncate 2.7 to 2 and read "3" and True as 3 and 1
+    kind = type(next(v for v in parts if type(v) is not int)).__name__
+    with pytest.raises(TypeError, match=f"^expected an exact integer, got {kind}$"):
+        Partition(parts)
+
+
+@pytest.mark.parametrize("p, q", [(1.5, 1), (1.0, 1), (1, 2.0), (True, 1)], ids=repr)
+def test_hook_params_must_be_ints(p, q):
+    # HookParams(1.5, 1) used to enumerate the (1, 1)-hooks
+    kind = type(p if type(p) is not int else q).__name__
+    with pytest.raises(TypeError, match=f"^expected an exact integer, got {kind}$"):
+        HookParams(p, q)
+
+
+def test_require_hook_is_the_one_hook_check():
+    hp = HookParams(1, 1)
+    assert Partition.of(3, 1, 1).require_hook(hp) is None
+    for call in (lambda: Partition.of(2, 2).require_hook(hp), lambda: lambda_natural(Partition.of(2, 2), 1, 1)):
+        with pytest.raises(NotAHook, match=re.escape("2,2 is not a (1, 1)-hook partition")):
+            call()
+
+
+def test_hook_search_yields_enumeration_order():
+    # the depth-first search is the order: _hooks_exact does not sort
+    for p in range(1, 4):
+        for q in range(1, 4):
+            for d in range(13):
+                hooks = _hooks_exact(p, q, d)
+                assert list(hooks) == sorted(hooks, key=sort_key), (p, q, d)
+                assert len(set(hooks)) == len(hooks)
 
 
 # -- record semantics -----------------------------------------------------------

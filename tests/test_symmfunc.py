@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from superbc.exactalg import PoleError, RatFunc, SparsePoly, THETA, scalar_eval
-from superbc.partitions import Partition, partitions_of
+from superbc.partitions import Partition, UsageError, partitions_of
 from superbc.symmfunc import (
     DegenerateParameter,
     SymFun,
@@ -208,6 +208,28 @@ def test_jack_degree_8_generic_is_fast():
     elapsed = time.perf_counter() - start
     assert len(jacks) == 22
     assert elapsed < 5.0
+
+
+def test_a_degenerate_parameter_is_a_usage_error():
+    assert issubclass(DegenerateParameter, UsageError)
+    assert issubclass(DegenerateParameter, ArithmeticError)
+    assert issubclass(DegenerateParameter, ValueError)
+
+
+def test_symfun_renders_itself():
+    f = SymFun({P(2): Fraction(-5, 2), P(1, 1): 1, P(3): Fraction(1, 3)})
+    assert f.to_text() == repr(f) == "-5/2*p[2] + p[1,1] + 1/3*p[3]"
+    assert f.to_record() == {
+        "basis": "p",
+        "terms": [
+            {"partition": "2", "coefficient": {"num": "-5", "den": "2"}},
+            {"partition": "1,1", "coefficient": {"num": "1", "den": "1"}},
+            {"partition": "3", "coefficient": {"num": "1", "den": "3"}},
+        ],
+    }
+    assert SymFun().to_text() == "0" and SymFun().to_record() == {"basis": "p", "terms": []}
+    assert jack_P(P(1), THETA).to_text() == "p[1]"
+    assert jack_P(P(2), THETA).to_text() == "((1)/(theta + 1))*p[2] + ((theta)/(theta + 1))*p[1,1]"
 
 
 def test_degenerate_parameter():
