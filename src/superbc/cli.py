@@ -7,7 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error (a
 `UsageError`: a desk-scale bound, a non-hook argument or a degenerate Jack
 parameter), 3 degenerate normalization (J_mu labelled top), 4 internal
 error (any other exception: an exact computation that cannot fail did,
-e.g. an inconsistent system).
+e.g. a closed form of J_mu that does not vanish on the grid).
 """
 
 from __future__ import annotations
@@ -92,7 +92,9 @@ def _partition(text: str) -> Partition:
 # rule and any other theta through the generic-theta Jack expansion, so each
 # route has its row; the theta = 1 row keeps the sizes timed when it too
 # took the Jack route, and runs them far inside 5 s.  kmu with --p and --q
-# does expand's work; without them it is a hook product and has no bound.
+# does expand's work.  Without them it is the hook product alone, at most
+# |mu|!, which is fast at any size; its bound is the largest size whose
+# factorial Python still prints under its default limit of 4300 digits.
 _DESK_SIZE = {
     "interp": (14, 9, 8),
     "superjack": (17, 16, 13),
@@ -101,11 +103,12 @@ _DESK_SIZE = {
 }
 _DESK_SIZE["kmu"] = _DESK_SIZE["expand"]
 _DESK_JACK_SIZE = 16
+_DESK_HOOK_PRODUCT_SIZE = 1558
 
 
 def _desk_scale(command: str, size: int, hp: HookParams | None = None) -> None:
     if hp is None:
-        bound, where = _DESK_JACK_SIZE, ""
+        bound, where = _DESK_HOOK_PRODUCT_SIZE if command == "kmu" else _DESK_JACK_SIZE, ""
     elif hp.p > DESK_PQ or hp.q > DESK_PQ:
         raise UsageError(f"{command} is desk scale: p, q <= {DESK_PQ}")
     else:
@@ -185,8 +188,8 @@ def _cmd_hooks(args):
         hooks = enumerate_hooks(hp, args.size, "exact")
     else:
         hooks = enumerate_hooks(hp, args.max_size, "upto")
-    result = {"partitions": [str(lam) for lam in hooks]}
-    return 0, result, [str(lam) for lam in hooks]
+    names = [str(lam) for lam in hooks]
+    return 0, {"partitions": names}, names
 
 
 def _cmd_jack(args):
@@ -256,12 +259,12 @@ def _cmd_interp(args):
 def _cmd_kmu(args):
     if (args.p is None) != (args.q is None):
         raise UsageError("--p and --q must be given together")
+    hp = None if args.p is None else HookParams(args.p, args.q)
+    _desk_scale("kmu", args.mu.size, hp)
     k = k_mu(args.mu)
     result = {"mu": str(args.mu), "k": str(k)}
     lines = [f"k[{args.mu}] = {k}"]
-    if args.p is not None:
-        hp = HookParams(args.p, args.q)
-        _desk_scale("kmu", args.mu.size, hp)
+    if hp is not None:
         kd = derive_k(args.mu, hp)
         result.update({"p": args.p, "q": args.q, "k_derived": str(kd)})
         lines.append(f"k_derived[{args.mu}] at (p, q) = ({args.p}, {args.q}) = {kd}")
@@ -325,9 +328,10 @@ def run(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:
-        # an exact computation that cannot fail did: an inconsistent
-        # vanishing system, a division that should have been exact, a
-        # check on data the program built itself, or any other fault
+        # an exact computation that cannot fail did: a closed form of J
+        # that does not vanish on the grid, a division that should have
+        # been exact, a check on data the program built itself, or any
+        # other fault
         print(f"internal error: {err}", file=sys.stderr)
         return 4
     if args.format == "structured":

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Mapping, NamedTuple, Sequence, Union
 
 _ZERO = Fraction(0)
@@ -84,8 +84,9 @@ def _pquo(a, b) -> tuple:
 def _common_denominator(values) -> tuple:
     """Fractions (or ints) as integer numerators over the lcm of their
     denominators: (numerators, lcm)."""
-    den = lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (den // v.denominator) for v in values), den
+    pairs = [v.as_integer_ratio() for v in values]
+    den = lcm(*{d for _, d in pairs})
+    return tuple(n * (den // d) for n, d in pairs), den
 
 
 def _primitive(cs) -> list:
@@ -679,11 +680,7 @@ class SparsePoly:
                 tables.append([v**k for k in range(top + 1)])
         total = 0
         for exps, c in zip(terms, coeffs):
-            for table, e in zip(tables, exps):
-                # table[0] is d^top: 1 unless the coordinate is a fraction
-                if e or table[0] != 1:
-                    c = c * table[e]
-            total = total + c
+            total = total + prod(map(operator.getitem, tables, exps), start=c)
         return Fraction(total, den) if rational else as_scalar(total)
 
     def substitute(self, assignment: Mapping) -> "SparsePoly":
@@ -793,11 +790,11 @@ def solve_exact(matrix: Sequence[Sequence], rhs: Sequence, ncols: int | None = N
     normalized so their first nonzero coordinate is 1.
 
     When every entry is rational (ints and Fractions), each augmented row
-    is scaled to integers and repeated rows are dropped, so elimination runs
-    in Python integers with exact floor division; back-substitution then
-    runs in Fractions.  Neither step changes the solution set, and the
-    reported solution and nullspace are determined by it, so the outcome is
-    the rational one.
+    is scaled to integers (unless every entry already is one) and repeated
+    rows are dropped, so elimination runs in Python integers with exact
+    floor division; back-substitution then runs in Fractions.  Neither step
+    changes the solution set, and the reported solution and nullspace are
+    determined by it, so the outcome is the rational one.
     """
     rows = [list(r) for r in matrix]
     b = list(rhs)
@@ -813,7 +810,10 @@ def solve_exact(matrix: Sequence[Sequence], rhs: Sequence, ncols: int | None = N
     else:
         n = ncols or 0
     aug = [rows[i] + [b[i]] for i in range(m)]
-    if all(isinstance(v, (int, Fraction)) for row in aug for v in row):
+    if all(type(v) is int for row in aug for v in row):
+        aug = [list(row) for row in dict.fromkeys(map(tuple, aug))]
+        exact = operator.floordiv
+    elif all(isinstance(v, (int, Fraction)) for row in aug for v in row):
         aug = [list(row) for row in dict.fromkeys(_common_denominator(row)[0] for row in aug)]
         exact = operator.floordiv
     else:

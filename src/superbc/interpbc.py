@@ -10,9 +10,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
+from operator import mul
 from typing import NamedTuple
 
-from superbc.exactalg import INCONSISTENT, SparsePoly, UNIQUE, add_terms, as_rational, as_scalar, solve_exact
+from superbc.exactalg import SparsePoly, UNIQUE, add_terms, as_rational, as_scalar, solve_exact
 from superbc.partitions import (
     HookParams,
     Partition,
@@ -41,9 +42,10 @@ class DegenerateNormalization(ArithmeticError):
 
 
 class InconsistentSystem(ArithmeticError):
-    """An exact system that must be solvable is not, or contradicts the
-    closed form of J; this signals an implementation or convention fault and
-    must never be swallowed."""
+    """A check on data the program built itself failed: the closed form of
+    J is off the squared basis, has the wrong top degree or does not vanish
+    on the grid, or the basis is not triangular on its leads.  This signals
+    an implementation or convention fault and must never be swallowed."""
 
 
 _RES_EVAL_SEED = 0x5BC0
@@ -87,13 +89,18 @@ def c_factor(lam: Partition, x, k, sign: str):
     x = as_scalar(x)
     k = as_scalar(k)
     lamt = lam.transpose()
-    total = as_scalar(1)
+    if all(isinstance(v, Fraction) and v.denominator == 1 for v in (x, k)):
+        # integer x and k: the product is an integer, formed in ints
+        x, k = x.numerator, k.numerator
+        total = 1
+    else:
+        total = as_scalar(1)
     for i, j in lam.boxes():
         if sign == "minus":
             total = total * (lam.part(i) - j - k * (lamt.part(j) - i) + x)
         else:
             total = total * (lam.part(i) + j + k * (lamt.part(j) + i) + x)
-    return total
+    return Fraction(total) if type(total) is int else total
 
 
 def d_mu(mu: Partition, k):
@@ -145,8 +152,9 @@ class InterpolationResult(NamedTuple):
     coefficients: tuple
 
 
-@lru_cache(maxsize=None)
 def _sp_squared(nu: Partition, hp: HookParams) -> SparsePoly:
+    """SP_nu(x^2, y^2): the theta = 1 super Jack polynomial in the squared
+    variables.  `_lead_order` keeps it as an integer term map."""
     return squared_substitution(super_jack(nu, hp, Fraction(1)), hp)
 
 
@@ -188,6 +196,37 @@ def _basis_values(nus, orbit: tuple) -> list:
     return [super_schur(nu, hp, squares) for nu in nus]
 
 
+@lru_cache(maxsize=None)
+def _unknowns(hp: HookParams, size: int) -> tuple:
+    """The hooks below the given size, in enumeration order: the columns of
+    the vanishing rows of a J of that size, apart from its own."""
+    return tuple(nu for nu in enumerate_hooks(hp, size, "upto") if nu.size < size)
+
+
+@lru_cache(maxsize=None)
+def _orbit_row(orbit: tuple, size: int) -> tuple:
+    """`_basis_values` of the hooks below the given size at the orbit,
+    shared by every J of that size whose rows include the orbit."""
+    return tuple(_basis_values(_unknowns(orbit[0], size), orbit))
+
+
+def _vanishing_rows(mu: Partition, hp: HookParams, window: int):
+    """One pair (row, value) for each grid orbit of the hooks lam of size
+    <= |mu| + window that do not contain mu: the integer values there of
+    the squared basis below size |mu| (`_unknowns`) and of SP_mu.  A later
+    lam in an orbit already seen would repeat an earlier pair exactly, so
+    it is skipped."""
+    seen = set()
+    for lam in enumerate_hooks(hp, mu.size + window, "upto"):
+        if lam.contains(mu):
+            continue
+        orbit = _grid_orbit(lam, hp)
+        if orbit in seen:
+            continue
+        seen.add(orbit)
+        yield _orbit_row(orbit, mu.size), _basis_values((mu,), orbit)[0]
+
+
 def normalization_target(mu: Partition, hp: HookParams) -> Fraction:
     """Value the interpolation polynomial takes at its own grid point:
     C^-(1; -1) on mu times C^+(2q - 2p; -1) on the transpose of mu.
@@ -217,58 +256,46 @@ def _fixed_top(mu: Partition) -> Fraction:
 
 def _vanishing_system(mu: Partition, hp: HookParams, window: int) -> tuple:
     """Unknowns, matrix and right-hand side of the system for J_mu: one row
-    J(grid(lam)) = 0 for each grid orbit of the hooks lam of size
-    <= |mu| + window that do not contain mu, in the squared basis below size
-    |mu|, with the column of the fixed top coefficient moved to the
-    right-hand side.  A later lam in an orbit already seen would repeat an
-    earlier row exactly, so it is skipped."""
-    d = mu.size
+    J(grid(lam)) = 0 for each pair of `_vanishing_rows`, in the squared
+    basis below size |mu|, with the column of the fixed top coefficient
+    moved to the right-hand side."""
     top = _fixed_top(mu)
-    unknowns = [nu for nu in enumerate_hooks(hp, d, "upto") if nu.size < d]
-    columns = unknowns + [mu]
-    seen = set()
-    matrix = []
-    rhs = []
-    for lam in enumerate_hooks(hp, d + window, "upto"):
-        if lam.contains(mu):
-            continue
-        orbit = _grid_orbit(lam, hp)
-        if orbit in seen:
-            continue
-        seen.add(orbit)
-        *row, value = _basis_values(columns, orbit)
-        matrix.append(row)
-        rhs.append(-top * value)
-    return unknowns, matrix, rhs
+    pairs = list(_vanishing_rows(mu, hp, window))
+    return _unknowns(hp, mu.size), [list(row) for row, _ in pairs], [-top * value for _, value in pairs]
 
 
 @lru_cache(maxsize=None)
 def _lead_order(hp: HookParams, size: int) -> tuple:
     """The hooks nu of one size in enumeration order, and their back-
-    substitution order: triples (nu, lead, sign) in descending lead order,
-    where lead is the exponent vector x^{2 nu_natural} and sign the
-    coefficient +-1 of SP_nu on it (one supertableau has that weight).
+    substitution order: tuples (nu, lead, sign, terms) in descending lead
+    order, where lead is the exponent vector x^{2 nu_natural}, sign the
+    coefficient +-1 of SP_nu on it (one supertableau has that weight), and
+    terms SP_nu(x^2, y^2) as an integer term map.
 
     Back-substitution rests on two facts, checked here: SP_nu is
     homogeneous of degree 2|nu|, so it has no term on the lead of a hook of
     another size, and it has no term on the lead of any hook before it in
     this order.  Together they make the squared basis triangular with unit
-    diagonal, hence independent; a basis that breaks them is a fault."""
+    diagonal, hence independent; a basis that breaks them, or has a
+    coefficient that is not an integer, is a fault."""
     hooks = tuple(enumerate_hooks(hp, size, "exact"))
     leads = {nu: tuple(2 * n for n in lambda_natural(nu, hp.p, hp.q)) for nu in hooks}
     order = []
     for nu in sorted(hooks, key=leads.get, reverse=True):
-        basis = _sp_squared(nu, hp).terms
+        coeffs = super_jack(nu, hp, Fraction(1)).terms
+        # SP_nu(x^2, y^2): every exponent doubled
+        basis = {tuple([2 * e for e in exps]): c.numerator for exps, c in coeffs.items()}
         sign = basis.get(leads[nu])
         if (
             sign not in (1, -1)
+            or any(c.denominator != 1 for c in coeffs.values())
             or any(sum(e) != 2 * size for e in basis)
-            or any(earlier in basis for _, earlier, _ in order)
+            or any(earlier in basis for _, earlier, _, _ in order)
         ):
             raise InconsistentSystem(
                 f"the squared basis is not triangular on its leads at (p, q) = ({hp.p}, {hp.q})"
             )
-        order.append((nu, leads[nu], sign.numerator))
+        order.append((nu, leads[nu], sign, basis))
     return hooks, tuple(order)
 
 
@@ -280,11 +307,11 @@ def _squared_basis_coefficients(scaled: dict, hp: HookParams, sizes) -> dict:
     remainder = dict(scaled)
     coeffs = {}
     for size in sorted(sizes, reverse=True):
-        for nu, lead, sign in _lead_order(hp, size)[1]:
+        for nu, lead, sign, terms in _lead_order(hp, size)[1]:
             # dividing by the lead coefficient +-1 is multiplying by it
             b = coeffs[nu] = remainder.get(lead, 0) * sign
             if b:
-                add_terms(((e, -b * v.numerator) for e, v in _sp_squared(nu, hp).terms.items()), remainder)
+                add_terms(((e, -b * v) for e, v in terms.items()), remainder)
     if remainder:
         raise InconsistentSystem(f"term map off the squared basis at (p, q) = ({hp.p}, {hp.q})")
     return {nu: coeffs[nu] for size in sorted(sizes) for nu in _lead_order(hp, size)[0]}
@@ -296,11 +323,14 @@ def interpolation_J(mu: Partition, hp: HookParams) -> InterpolationResult:
     with the interpolation nodes, scaled to the top coefficient
     (-1/4)^{|mu|}, and its coefficients in the squared super Jack basis.
 
-    One exact solve checks it: the vanishing conditions J(grid(lam)) = 0 for
-    the hooks lam of size <= |mu| not containing mu, with the top
-    coefficient fixed and the other same-size coefficients zero, either pin
-    J (and must give these coefficients) or leave it underdetermined, which
-    `extended_grid_used` reports; they never contradict it.
+    The closed form is checked in integers, before the scale.  Its
+    coefficients b_nu in the squared basis come from back-substitution;
+    b_mu must be 1 and every other b_nu of size |mu| must be 0.  Then J
+    must vanish on the grid: sum b_nu SP_nu(grid(lam)) = 0 on each grid
+    orbit of the hooks lam of size <= |mu| that do not contain mu.  Those
+    rows, in the unknowns b_nu with |nu| < |mu|, pin J when their rank is
+    the number of unknowns; otherwise J is not determined by them, which
+    `extended_grid_used` reports.  A failed check is a fault.
 
     This is the one place that labels J: "paper" when the normalization
     target is nonzero, "top" when it vanishes.  A mu that is not a
@@ -308,33 +338,38 @@ def interpolation_J(mu: Partition, hp: HookParams) -> InterpolationResult:
     measured; `verify normalization` checks it.
     """
     mu.require_hook(hp)
+    d = mu.size
     degenerate = not normalization_target(mu, hp)
-    # J is its top coefficient times an integer term map
-    top = _fixed_top(mu)
     scaled = factorial_super_schur(mu, hp)
-    poly = SparsePoly._raw(a_variables(hp), {e: top * c for e, c in scaled.items()})
-    coeffs = _squared_basis_coefficients(scaled, hp, range(mu.size + 1))
-    coeffs = {nu: top * b for nu, b in coeffs.items()}
-    unknowns, matrix, rhs = _vanishing_system(mu, hp, 0)
-    outcome = solve_exact(matrix, rhs, ncols=len(unknowns))
-    if outcome.tag == INCONSISTENT:
+    b = _squared_basis_coefficients(scaled, hp, range(d + 1))
+    if any(b[nu] != (1 if nu == mu else 0) for nu in _lead_order(hp, d)[0]):
         raise InconsistentSystem(
-            f"vanishing system inconsistent for mu = {mu} at (p, q) = ({hp.p}, {hp.q})"
+            f"the closed form's top degree is not SP_mu for mu = {mu} at (p, q) = ({hp.p}, {hp.q})"
         )
-    if outcome.tag == UNIQUE and list(outcome.solution) != [coeffs[nu] for nu in unknowns]:
-        raise InconsistentSystem(
-            f"vanishing system disagrees with the closed form for mu = {mu} at (p, q) = ({hp.p}, {hp.q})"
-        )
+    weights = [b[nu] for nu in _unknowns(hp, d)]
+    rows = []
+    for row, value in _vanishing_rows(mu, hp, 0):
+        if value + sum(map(mul, weights, row)):
+            raise InconsistentSystem(
+                f"the closed form does not vanish on the grid for mu = {mu} at (p, q) = ({hp.p}, {hp.q})"
+            )
+        rows.append(row)
+    pinned = solve_exact(rows, [0] * len(rows), ncols=len(weights)).tag == UNIQUE
+    # J is its top coefficient +-1 / 4^|mu| times the integer map, which
+    # takes few distinct values: one Fraction is formed for each
+    top = _fixed_top(mu)
+    scale = {c: Fraction(top.numerator * c, top.denominator) for c in {*scaled.values(), *b.values()}}
+    poly = SparsePoly._raw(a_variables(hp), {e: scale[c] for e, c in scaled.items()})
     return InterpolationResult(
         mu=mu,
         hp=hp,
         poly=poly,
         mode="top" if degenerate else "paper",
-        measured_top_coefficient=coeffs[mu],
+        measured_top_coefficient=top,
         normalization_value=poly.evaluate(grid_point(mu, hp).coords),
         degenerate_normalization=degenerate,
-        extended_grid_used=outcome.tag != UNIQUE,
-        coefficients=tuple(coeffs.items()),
+        extended_grid_used=not pinned,
+        coefficients=tuple((nu, scale[c]) for nu, c in b.items()),
     )
 
 

@@ -173,18 +173,36 @@ def partitions_of(d: int) -> tuple[Partition, ...]:
 def _hooks_exact(p: int, q: int, d: int) -> tuple[Partition, ...]:
     """Partitions of d whose rows after the p-th have length <= q, depth
     first with the largest next row first, which is reverse-lexicographic
-    order.  The row cap prunes the search, so the cost follows the output,
-    not p(d), and an explicit stack keeps it off the interpreter's."""
+    order.  Every row fits under the cap (q >= 1), so no branch is a dead
+    end; one prefix list is extended and cut back in place, and a tail of
+    rows of length 1 is written at once, so the cost follows the output,
+    not p(d).  An explicit stack keeps the search off the interpreter's."""
+    if not d:
+        return (Partition(),)
     out = []
-    stack = [((), d)]
+    prefix = []
+    remaining = d
+    # one iterator per open row over its lengths, largest first; the first
+    # row's has no prefix row to cut back when it runs out
+    stack = [iter(range(d, 0, -1))]
     while stack:
-        prefix, remaining = stack.pop()
-        if not remaining:
-            out.append(Partition(prefix))
-            continue
-        limit = min(prefix[-1] if prefix else d, remaining, q if len(prefix) >= p else d)
-        # the stack pops the largest next row first
-        stack.extend((prefix + (v,), remaining - v) for v in range(1, limit + 1))
+        v = next(stack[-1], 0)
+        if not v:
+            stack.pop()
+            if prefix:
+                remaining += prefix.pop()
+        elif v == remaining:
+            out.append(Partition(tuple(prefix) + (v,)))
+        else:
+            prefix.append(v)
+            remaining -= v
+            limit = min(v, remaining, q if len(prefix) >= p else d)
+            if limit > 1:
+                stack.append(iter(range(limit, 0, -1)))
+            else:
+                # the one way on is a column of ones
+                out.append(Partition(tuple(prefix) + (1,) * remaining))
+                remaining += prefix.pop()
     return tuple(out)
 
 

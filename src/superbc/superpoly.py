@@ -176,7 +176,9 @@ def super_schur(lam: Partition, hp: HookParams, point=None):
     value = _branching(hp.p + hp.q, lam, hp, False, point)
     if point is not None:
         return value
-    return SparsePoly._raw(a_variables(hp), {e: Fraction(c) for e, c in value.items()})
+    # the coefficients take few distinct values: one Fraction for each
+    scalars = {c: Fraction(c) for c in set(value.values())}
+    return SparsePoly._raw(a_variables(hp), {e: scalars[c] for e, c in value.items()})
 
 
 def factorial_super_schur(lam: Partition, hp: HookParams) -> dict:

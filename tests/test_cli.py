@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,8 +10,8 @@ import pytest
 
 import superbc.cli
 import superbc.interpbc
-from superbc.cli import _DESK_JACK_SIZE, _DESK_SIZE, _desk_scale, run
-from superbc.exactalg import INCONSISTENT, LinearSolveOutcome, SparsePoly
+from superbc.cli import _DESK_HOOK_PRODUCT_SIZE, _DESK_JACK_SIZE, _DESK_SIZE, _desk_scale, run
+from superbc.exactalg import SparsePoly, add_terms
 from superbc.interpbc import DESK_PQ, interpolation_J
 from superbc.partitions import HookParams, Partition, enumerate_hooks
 from superbc.symmfunc import jack_P
@@ -129,6 +130,19 @@ def test_kmu_with_derived(capsys):
     assert lines[1].endswith("= -2")
 
 
+def test_kmu_hook_product_prints_up_to_its_desk_bound(capsys):
+    # the hook product of (n) is n!, the largest of size n; at the bound it
+    # has 4300 digits, and one size past is refused, not an internal error
+    code, out = invoke(capsys, "kmu", "--mu", str(_DESK_HOOK_PRODUCT_SIZE))
+    assert code == 0
+    assert out == f"k[{_DESK_HOOK_PRODUCT_SIZE}] = {math.factorial(_DESK_HOOK_PRODUCT_SIZE)}\n"
+    assert len(str(math.factorial(_DESK_HOOK_PRODUCT_SIZE))) == 4300
+    code = run(["kmu", "--mu", str(_DESK_HOOK_PRODUCT_SIZE + 1), "--format", "structured"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: kmu is desk scale: size <= 1558, got {_DESK_HOOK_PRODUCT_SIZE + 1}\n"
+
+
 def test_expand_text(capsys):
     code, out = invoke(capsys, "expand", "--size", "2", "--p", "1", "--q", "1")
     assert code == 0
@@ -162,6 +176,7 @@ def _past_bound(key, m, bound):
 
 # one past each bound: every size bound of the table at (p, q) = (m, 1), where
 # it applies to max(p, q) = m, then p or q past DESK_PQ, then jack's bound
+# and that of kmu without --p and --q
 _PAST_DESK = [
     _past_bound(key, m, bound) for key, bounds in _DESK_SIZE.items() for m, bound in enumerate(bounds, 1)
 ] + [
@@ -170,6 +185,7 @@ _PAST_DESK = [
     ("expand", "--size", "1", "--p", str(DESK_PQ + 1), "--q", "1"),
     ("kmu", "--mu", "1", "--p", str(DESK_PQ + 1), "--q", "1"),
     ("jack", "--mu", str(_DESK_JACK_SIZE + 1)),
+    ("kmu", "--mu", str(_DESK_HOOK_PRODUCT_SIZE + 1)),
 ]
 
 
@@ -191,6 +207,7 @@ def test_desk_scale_bounds_admit_their_own_size(capsys):
             for hp in (HookParams(m, 1), HookParams(1, m), HookParams(m, m)):
                 _desk_scale(command, bound, hp)
     _desk_scale("jack", _DESK_JACK_SIZE)
+    _desk_scale("kmu", _DESK_HOOK_PRODUCT_SIZE)
     assert run(["interp", "--mu", "10", "--p", "2", "--q", "1"]) == 2
     assert capsys.readouterr().err == "error: interp is desk scale: size <= 9 at (p, q) = (2, 1), got 10\n"
 
@@ -210,10 +227,14 @@ def test_import_loads_no_dataclasses_or_inspect():
 
 
 def test_internal_faults_exit_4(monkeypatch, capsys):
-    # an inconsistent vanishing system is a fault of the program, neither a
-    # failed verification (1) nor a usage error (2)
+    # a closed form that does not vanish on the grid is a fault of the
+    # program, neither a failed verification (1) nor a usage error (2); one
+    # more constant term keeps it in the squared span with the right top
+    # degree, and makes it nonzero at grid(∅)
+    genuine = superbc.interpbc.factorial_super_schur
     monkeypatch.setattr(
-        superbc.interpbc, "solve_exact", lambda *args, **kwargs: LinearSolveOutcome(INCONSISTENT)
+        superbc.interpbc, "factorial_super_schur",
+        lambda mu, hp: add_terms([((0,) * (hp.p + hp.q), 1)], dict(genuine(mu, hp))),
     )
     interpolation_J.cache_clear()
     try:
@@ -222,7 +243,7 @@ def test_internal_faults_exit_4(monkeypatch, capsys):
         interpolation_J.cache_clear()
     captured = capsys.readouterr()
     assert code == 4 and captured.out == ""
-    assert captured.err.startswith("internal error: vanishing system inconsistent")
+    assert captured.err.startswith("internal error: the closed form does not vanish on the grid")
 
 
 _USAGE_ERRORS = [

@@ -27,7 +27,7 @@ from superbc.interpbc import (
     weyl_vectors,
 )
 from superbc.partitions import NotAHook, UsageError
-from superbc.superpoly import a_variables, is_even_supersymmetric, phi_theta, squared_substitution
+from superbc.superpoly import a_variables, is_even_supersymmetric, phi_theta, squared_substitution, super_jack
 from superbc.symmfunc import jack_P
 
 P = Partition.of
@@ -270,26 +270,53 @@ def test_closed_form_j_is_the_windowed_vanishing_solve():
     assert checked == 85
 
 
+def test_extended_grid_used_is_the_window_0_solve():
+    # every (p, q) <= (3, 3), |mu| <= 6 where p + q <= 4 and <= 5 elsewhere:
+    # the flag is the tag of the Fraction solve of the window-0 system, and
+    # a unique solution is the closed form's coefficients
+    from superbc.exactalg import UNIQUE
+    from superbc.interpbc import _vanishing_system
+
+    checked = 0
+    for hp in [HookParams(p, q) for p in (1, 2, 3) for q in (1, 2, 3)]:
+        for mu in enumerate_hooks(hp, 6 if hp.p + hp.q <= 4 else 5, "upto"):
+            j = interpolation_J(mu, hp)
+            unknowns, matrix, rhs = _vanishing_system(mu, hp, 0)
+            outcome = solve_exact(matrix, rhs, ncols=len(unknowns))
+            assert j.extended_grid_used == (outcome.tag != UNIQUE), (hp, mu)
+            if outcome.tag == UNIQUE:
+                coefficients = dict(j.coefficients)
+                assert list(outcome.solution) == [coefficients[nu] for nu in unknowns], (hp, mu)
+            checked += 1
+    assert checked == 227
+
+
 def test_a_closed_form_the_checks_reject_is_an_internal_fault(monkeypatch):
     import superbc.interpbc
-    from superbc.exactalg import UNIQUE, LinearSolveOutcome
-    from superbc.interpbc import InconsistentSystem
+    from superbc.exactalg import add_terms
+    from superbc.interpbc import InconsistentSystem, _lead_order
 
     hp = HookParams(2, 1)
+    genuine = superbc.interpbc.factorial_super_schur
+    other = next(terms for nu, _, _, terms in _lead_order(hp, 2)[1] if nu == P(1, 1))
+    faults = [
+        # one more constant term: in the squared span with the right top
+        # degree, but nonzero at grid(∅)
+        (lambda mu, hp_: add_terms([((0, 0, 0), 1)], dict(genuine(mu, hp_))), "does not vanish on the grid"),
+        # twice the closed form: b_mu = 2
+        (lambda mu, hp_: {e: 2 * c for e, c in genuine(mu, hp_).items()}, "top degree is not SP_mu"),
+        # another hook of size |mu| in the top degree
+        (lambda mu, hp_: add_terms(other.items(), dict(genuine(mu, hp_))), "top degree is not SP_mu"),
+        # a term off the squared basis: x1^2 alone is not supersymmetric
+        (lambda mu, hp_: {(2, 0, 0): 1}, "off the squared basis"),
+    ]
     interpolation_J.cache_clear()
     try:
-        # (1) is pinned at window 0; a solve that disagrees is a fault
-        monkeypatch.setattr(
-            superbc.interpbc, "solve_exact",
-            lambda *args, **kwargs: LinearSolveOutcome(UNIQUE, solution=(Fraction(5),)),
-        )
-        with pytest.raises(InconsistentSystem, match="disagrees with the closed form"):
-            interpolation_J(P(1), hp)
-        monkeypatch.undo()
-        # a term off the squared basis: x1^2 alone is not supersymmetric
-        monkeypatch.setattr(superbc.interpbc, "factorial_super_schur", lambda mu, hp: {(1, 0, 0): 1})
-        with pytest.raises(InconsistentSystem, match="off the squared basis"):
-            interpolation_J(P(1), hp)
+        for closed_form, message in faults:
+            monkeypatch.setattr(superbc.interpbc, "factorial_super_schur", closed_form)
+            with pytest.raises(InconsistentSystem, match=message):
+                interpolation_J(P(2), hp)
+            monkeypatch.undo()
     finally:
         interpolation_J.cache_clear()
 
@@ -549,32 +576,36 @@ def test_expansion_back_substitution_is_the_exact_solve():
         assert tuple(en.coefficient for en in rep.entries) == _expansion_by_solve(m, hp), (hp, m)
 
 
-@pytest.mark.parametrize("fault", ["earlier-lead-term", "lead-coefficient-2", "constant-term"])
+@pytest.mark.parametrize("fault", ["earlier-lead-term", "lead-coefficient-2", "constant-term", "half-integer-term"])
 def test_a_squared_basis_off_its_leads_is_an_internal_fault(monkeypatch, capsys, fault):
     import superbc.interpbc
     from superbc.cli import run
-    from superbc.interpbc import InconsistentSystem, _lead_order, _sp_squared
+    from superbc.interpbc import InconsistentSystem, _lead_order
 
     hp, m = HookParams(2, 1), 3
     _, order = _lead_order(hp, m)
-    (_, earlier_lead, _), (victim, victim_lead, _) = order[:2]
-    assert victim.size == m and earlier_lead not in _sp_squared(victim, hp).terms
+    (_, earlier_lead, _, _), (victim, victim_lead, _, victim_terms) = order[:2]
+    assert victim.size == m and earlier_lead not in victim_terms
+    other_term = next(e for e in victim_terms if e != victim_lead)
     # the victim gains a term on the lead of the hook before it, its own
-    # lead coefficient becomes 2, or it gains a term of degree 0, the lead
-    # of the empty hook
+    # lead coefficient becomes 2, it gains a term of degree 0, the lead of
+    # the empty hook, or a coefficient that is not an integer; the basis is
+    # SP_nu(x^2, y^2), so each exponent of the super Jack polynomial is half
     extra = {
         "earlier-lead-term": {earlier_lead: Fraction(1)},
         "lead-coefficient-2": {victim_lead: Fraction(2)},
         "constant-term": {(0, 0, 0): Fraction(1)},
+        "half-integer-term": {other_term: Fraction(1, 2)},
     }[fault]
+    extra = {tuple(e // 2 for e in exps): c for exps, c in extra.items()}
 
-    def sp_squared(nu, hp_):
-        poly = _sp_squared(nu, hp_)
+    def faulty_super_jack(nu, hp_, theta):
+        poly = super_jack(nu, hp_, theta)
         if (nu, hp_) == (victim, hp):
             return SparsePoly(poly.vars, {**poly.terms, **extra})
         return poly
 
-    monkeypatch.setattr(superbc.interpbc, "_sp_squared", sp_squared)
+    monkeypatch.setattr(superbc.interpbc, "super_jack", faulty_super_jack)
     expansion_identity.cache_clear()
     _lead_order.cache_clear()
     try:
