@@ -26,7 +26,8 @@ class VariableMismatch(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over Q, stored low-to-high as tuples of Fractions
+# univariate polynomials, stored low-to-high as coefficient tuples: integers
+# in every `RatFunc` part, Fractions or ints where `_primitive` clears them
 
 
 def _ptrim(cs: tuple) -> tuple:
@@ -102,19 +103,26 @@ def _pgcd(a: tuple, b: tuple) -> tuple:
 
     The gcd over Q is the gcd of the integer primitive parts up to a
     constant, so both inputs are first cleared of denominators and content.
-    Each step replaces (a, b) by b and the primitive part of a constant
-    multiple of a mod b: every cancelling step scales by lc(b)/g, with g the
-    gcd of lc(b) and the coefficient it cancels, so the remainder stays in
-    integers and the content division keeps them small.  A constant gcd is
-    (1,), and the gcd of two zeros is ()."""
+    The power of theta is split off first: with a' and b' prime to theta,
+    gcd(theta^i a', theta^j b') = theta^min(i, j) gcd(a', b').  Each step
+    then replaces (a, b) by b and the primitive part of a constant multiple
+    of a mod b: every cancelling step scales by lc(b)/g, with g the gcd of
+    lc(b) and the coefficient it cancels, so the remainder stays in integers
+    and the content division keeps them small.  A constant gcd is (1,), and
+    the gcd of two zeros is ()."""
     if len(a) < len(b):
         a, b = b, a
     if not a:
         return ()
     if len(b) == 1:
         return (1,)
-    a = _primitive(a)
-    b = _primitive(b) if b else []
+    if not b:
+        return tuple(_primitive(a))
+    i = next(k for k, v in enumerate(a) if v)
+    j = next(k for k, v in enumerate(b) if v)
+    a, b = _primitive(a[i:]), _primitive(b[j:])
+    if len(a) < len(b):
+        a, b = b, a
     while len(b) > 1:
         r, n, lb = a, len(b), b[-1]
         for k in range(len(r) - n, -1, -1):
@@ -126,34 +134,32 @@ def _pgcd(a: tuple, b: tuple) -> tuple:
             r = r[: k + n - 1]
         r = _ptrim(tuple(r))
         a, b = b, _primitive(r) if r else []
-    return (1,) if b else tuple(a)
+    return (0,) * min(i, j) + ((1,) if b else tuple(a))
 
 
 def _canonical(num: tuple, den: tuple) -> tuple:
     """Lowest terms of num/den from trimmed integer coefficient sequences,
-    den nonzero: the canonical `RatFunc` parts, `Fraction` tuples with den
-    monic.  This is the one reduction of the package: the integer primitive
-    gcd divides both parts exactly (Gauss's lemma), and one division by the
-    lead of den makes it monic."""
+    den nonzero: the canonical `RatFunc` parts.  This is the one reduction
+    of the package: the integer primitive gcd divides both parts exactly
+    (Gauss's lemma), and `_normal` fixes the scale."""
     if not num:
-        return (), (_ONE,)
+        return (), (1,)
     g = _pgcd(num, den)
     if len(g) > 1:
         num, den = _pquo(num, g), _pquo(den, g)
-    return _monic(num, den)
+    return _normal(num, den)
 
 
-def _monic(num: tuple, den: tuple) -> tuple:
-    """The parts of num/den, integer sequences without a common factor,
-    divided by the lead of den."""
-    lead = den[-1]
-    return tuple(Fraction(c, lead) for c in num), tuple(Fraction(c, lead) for c in den)
-
-
-def _int_parts(f: "RatFunc") -> tuple:
-    """num and den of f as integer sequences over one common denominator."""
-    ints = _common_denominator(f.num + f.den)[0]
-    return ints[: len(f.num)], ints[len(f.num):]
+def _normal(num: tuple, den: tuple) -> tuple:
+    """num and den, integer sequences without a common factor over Q,
+    divided by their joint integer content, with the sign that makes the
+    lead of den positive."""
+    c = gcd(*num, *den)
+    if den[-1] < 0:
+        c = -c
+    if c == 1:
+        return num, den
+    return tuple(v // c for v in num), tuple(v // c for v in den)
 
 
 def _quotients(a: tuple, b: tuple) -> tuple:
@@ -223,16 +229,19 @@ def as_rational(v) -> Fraction:
 
 
 class RatFunc:
-    """Rational function num/den in one formal parameter over Q.
+    """Rational function n/d in one formal parameter over Q.
 
-    Canonical form (gcd(num, den) = 1, den monic, `Fraction` coefficients)
-    is built by `_canonical` from integer parts: the constructor clears
-    denominators once and calls it, and every operation reduces its
-    integer result through it, so structural equality is mathematical
-    equality.
+    The parts are kept as integer coefficient tuples, lowest degree first,
+    in the one form that `_canonical` builds: gcd(n, d) = 1 over Q, the
+    joint integer content of n and d is 1, the lead of d is positive, and
+    zero is ((), (1,)).  The form is unique, so structural equality is
+    mathematical equality; every operation reduces its integer result
+    through `_canonical`, or through `_normal` where the parts are already
+    coprime.  `num` and `den` give the same function as `Fraction` tuples
+    with den monic.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_n", "_d")
 
     SYMBOL = "theta"
 
@@ -242,11 +251,23 @@ class RatFunc:
         if not den_t:
             raise ZeroDivisionError("rational function with zero denominator")
         ints = _common_denominator(num_t + den_t)[0]
-        self.num, self.den = _canonical(ints[: len(num_t)], ints[len(num_t):])
+        self._n, self._d = _canonical(ints[: len(num_t)], ints[len(num_t):])
 
     def __reduce__(self) -> tuple:
         # __slots__ alone leaves pickle protocols 0 and 1 without a state
-        return (RatFunc, (self.num, self.den))
+        return (RatFunc, (self._n, self._d))
+
+    @property
+    def num(self) -> tuple:
+        """The numerator over the monic denominator, as `Fraction`s."""
+        lead = self._d[-1]
+        return tuple(Fraction(c, lead) for c in self._n)
+
+    @property
+    def den(self) -> tuple:
+        """The monic denominator, as `Fraction`s."""
+        lead = self._d[-1]
+        return tuple(Fraction(c, lead) for c in self._d)
 
     @staticmethod
     def _coeffs(v) -> tuple:
@@ -261,10 +282,10 @@ class RatFunc:
 
     @classmethod
     def _reduced(cls, num: tuple, den: tuple) -> "RatFunc":
-        """Wrap a numerator and a monic denominator already in lowest terms."""
+        """Wrap integer parts already in canonical form."""
         out = cls.__new__(cls)
-        out.num = num
-        out.den = den
+        out._n = num
+        out._d = den
         return out
 
     @classmethod
@@ -277,14 +298,15 @@ class RatFunc:
         if isinstance(v, RatFunc):
             return v
         if isinstance(v, (int, Fraction)):
-            return cls._reduced(_ptrim((Fraction(v),)), (_ONE,))
+            n, d = v.as_integer_ratio()
+            return cls._reduced((n,) if n else (), (d,))
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        (a, b), (c, d) = _int_parts(self), _int_parts(o)
+        a, b, c, d = self._n, self._d, o._n, o._d
         # with b/d = b'/d' in lowest terms, b d' = d b' is a common denominator
         b1, d1 = _quotients(b, d)
         return RatFunc._from_ints(_padd(_pmul(a, d1), _pmul(c, b1)), _pmul(b, d1))
@@ -292,7 +314,7 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc._reduced(_pneg(self.num), self.den)
+        return RatFunc._reduced(_pneg(self._n), self._d)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -311,13 +333,14 @@ class RatFunc:
         if o is None:
             return NotImplemented
         if o.is_constant() or self.is_constant():
-            # zero is constant; scaling by a nonzero constant keeps num and
-            # den coprime
+            # zero is constant; scaling by a nonzero constant p/q keeps the
+            # parts coprime over Q
             const, other = (o, self) if o.is_constant() else (self, o)
-            if not const.num:
+            if not const._n:
                 return const
-            return RatFunc._reduced(tuple(c * const.num[0] for c in other.num), other.den)
-        return _product(*_int_parts(self), *_int_parts(o))
+            (p,), (q,) = const._n, const._d
+            return RatFunc._reduced(*_normal(tuple(p * v for v in other._n), tuple(q * v for v in other._d)))
+        return _product(self._n, self._d, o._n, o._d)
 
     __rmul__ = __mul__
 
@@ -325,10 +348,9 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not o.num:
+        if not o._n:
             raise ZeroDivisionError("division by the zero rational function")
-        c, d = _int_parts(o)
-        return _product(*_int_parts(self), d, c)
+        return _product(self._n, self._d, o._d, o._n)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -340,48 +362,46 @@ class RatFunc:
         if not isinstance(e, int):
             return NotImplemented
         if e < 0:
-            if not self.num:
+            if not self._n:
                 raise ZeroDivisionError("negative power of the zero rational function")
-            return RatFunc(self.den, self.num) ** (-e)
+            return RatFunc._reduced(*_normal(self._d, self._n)) ** (-e)
         return _power(self, e, RatFunc(1))
 
     def __bool__(self) -> bool:
-        return bool(self.num)
+        return bool(self._n)
 
     def __eq__(self, other):
-        if isinstance(other, RatFunc):
-            return self.num == other.num and self.den == other.den
-        if isinstance(other, (int, Fraction)):
-            return self.den == (_ONE,) and self.num == _ptrim((Fraction(other),))
-        return NotImplemented
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._n == o._n and self._d == o._d
 
     def __hash__(self):
-        if self.den == (_ONE,) and len(self.num) <= 1:
-            return hash(self.num[0] if self.num else _ZERO)
-        return hash((self.num, self.den))
+        if self.is_constant():
+            return hash(self.constant_value())
+        return hash((self._n, self._d))
 
     def is_constant(self) -> bool:
-        return self.den == (_ONE,) and len(self.num) <= 1
+        return len(self._d) == 1 and len(self._n) <= 1
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self.num[0] if self.num else _ZERO
+        return Fraction(self._n[0], self._d[0]) if self._n else _ZERO
 
     def evaluate(self, point) -> Fraction:
         """Substitute a rational for the parameter and reduce."""
         point = as_rational(point)
-        dval = _peval(self.den, point)
+        dval = _peval(self._d, point)
         if not dval:
             raise PoleError(f"{self} has a pole at {self.SYMBOL} = {point}")
-        return _peval(self.num, point) / dval
+        return _peval(self._n, point) / dval
 
     def __str__(self) -> str:
-        if self.den == (_ONE,):
-            return _ptext(self.num, self.SYMBOL)
         num = _ptext(self.num, self.SYMBOL)
-        den = _ptext(self.den, self.SYMBOL)
-        return f"({num})/({den})"
+        if len(self._d) == 1:
+            return num
+        return f"({num})/({_ptext(self.den, self.SYMBOL)})"
 
     __repr__ = __str__
 
@@ -395,10 +415,11 @@ def rational_record(c) -> dict:
 
 def _product(a: tuple, b: tuple, c: tuple, d: tuple) -> RatFunc:
     """(a/b)(c/d) from integer parts, each pair without a common factor:
-    (a/d)(c/b) with both quotients in lowest terms is in lowest terms."""
+    (a/d)(c/b) with both quotients in lowest terms is in lowest terms over
+    Q, so only the scale is left to fix."""
     a, d = _quotients(a, d)
     c, b = _quotients(c, b)
-    return RatFunc._reduced(*_monic(_pmul(a, c), _pmul(b, d)))
+    return RatFunc._reduced(*_normal(_pmul(a, c), _pmul(b, d)))
 
 
 THETA = RatFunc.variable()
@@ -454,23 +475,21 @@ def add_products(pairs) -> dict:
     functions = [(c, vec) for c, vec in pairs if isinstance(c, RatFunc)]
     if not functions:
         return out
-    # den is monic, so den = P / k with P its primitive form and k = P's lead
+    # a denominator d is k P, with P its primitive form and k > 0 its content
     prims: dict = {}
     for c, _ in functions:
-        if c.den not in prims:
-            prims[c.den] = tuple(_primitive(c.den))
+        if c._d not in prims:
+            prims[c._d] = tuple(_primitive(c._d))
     common = (1,)
     for d in prims.values():
         # lcm(common, d) = common * d / gcd(common, d)
         common = _pmul(common, _quotients(d, common)[0])
-    # c = (k num) / P = (num' cof) * (k / s) / common, with num = num' / s
-    # and cof = common / P
-    cofactors = {den: (_pquo(common, d), d[-1]) for den, d in prims.items()}
+    # c = n / (k P) = (n cof) / (k common), with cof = common / P
+    cofactors = {den: (_pquo(common, d), Fraction(d[-1], den[-1])) for den, d in prims.items()}
     parts: dict = {}
     for c, vec in functions:
-        num, s = _common_denominator(c.num)
-        cof, k = cofactors[c.den]
-        poly, weight = _pmul(num, cof), Fraction(k, s)
+        cof, weight = cofactors[c._d]
+        poly = _pmul(c._n, cof)
         for key, t in vec.items():
             parts.setdefault(key, []).append((weight * t, poly))
     for key, terms in parts.items():

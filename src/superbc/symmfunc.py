@@ -14,7 +14,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
+from math import factorial, gcd, lcm
 from threading import Lock, get_ident
 
 from superbc.exactalg import (
@@ -179,11 +179,12 @@ def _p_step(r: int, mu: tuple) -> tuple:
 
 @lru_cache(maxsize=None)
 def _p_to_m_expansion(parts: tuple) -> dict:
-    """Monomial-basis coefficients of the power-sum product p_parts."""
+    """Monomial-basis coefficients of the power-sum product p_parts, all
+    integers."""
     acc: dict = {(): 1}
     for r in parts:
         acc = add_terms((nu, c * k) for mu, c in acc.items() for nu, k in _p_step(r, mu))
-    return {Partition(mu): Fraction(c) for mu, c in acc.items()}
+    return {Partition(mu): c for mu, c in acc.items()}
 
 
 @lru_cache(maxsize=None)
@@ -193,17 +194,25 @@ def _m_to_p_table(d: int) -> dict:
     p_lam = k_lam m_lam + sum of c_nu m_nu over nu above lam in dominance,
     with k_lam the product of the factorials of lam's part multiplicities.
     `partitions_of` lists every such nu before lam, so m_lam = (p_lam - sum
-    of c_nu m_nu) / k_lam is found from expansions already in the table."""
-    table: dict = {}
+    of c_nu m_nu) / k_lam is found from expansions already in the table.
+    Each row is kept as integer numerators N over one denominator D, with
+    the content of (N, D) divided out: row lam is formed over k_lam L, with
+    L the lcm of the D_nu it reads.  The rows become `Fraction`s at the
+    end."""
+    rows: dict = {}
     for lam in partitions_of(d):
         p_lam = _p_to_m_expansion(lam.parts)
-        row = add_terms(
-            ((rho, -c * t) for nu, c in p_lam.items() if nu != lam for rho, t in table[nu].items()),
-            {lam: Fraction(1)},
-        )
-        diag = p_lam[lam]
-        table[lam] = {rho: v / diag for rho, v in row.items()}
-    return table
+        above = [(nu, c) for nu, c in p_lam.items() if nu != lam]
+        scale = lcm(*(rows[nu][1] for nu, _ in above))
+        row = {lam: scale}
+        for nu, c in above:
+            num, den = rows[nu]
+            f = c * (scale // den)
+            add_terms(((rho, -f * v) for rho, v in num.items()), row)
+        den = p_lam[lam] * scale
+        g = gcd(den, *row.values())
+        rows[lam] = ({rho: v // g for rho, v in row.items()}, den // g)
+    return {lam: {rho: Fraction(v, den) for rho, v in num.items()} for lam, (num, den) in rows.items()}
 
 
 def basis_convert(f: SymFun, target: str, degree_bound: int | None = None) -> dict:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -210,6 +211,24 @@ def test_desk_scale_bounds_admit_their_own_size(capsys):
     _desk_scale("kmu", _DESK_HOOK_PRODUCT_SIZE)
     assert run(["interp", "--mu", "10", "--p", "2", "--q", "1"]) == 2
     assert capsys.readouterr().err == "error: interp is desk scale: size <= 9 at (p, q) = (2, 1), got 10\n"
+
+
+def test_readme_desk_bound_table_matches_the_cli():
+    # the README states every desk bound that _desk_scale enforces
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = dict(re.findall(r"^\| (`\w+`[^|]*?) \| (.*) \|$", readme, re.M))
+
+    def bounds(row):
+        return [tuple(map(int, group.split(", "))) for group in re.findall(r"at most (\d+(?:, \d+)*)", table[row])]
+
+    assert bounds("`interp`") == [_DESK_SIZE["interp"]]
+    assert bounds("`superjack`") == [_DESK_SIZE["superjack"]]
+    assert bounds("`superjack` at θ ≠ 1") == [_DESK_SIZE["superjack at theta != 1"]]
+    assert bounds("`expand`") == [_DESK_SIZE["expand"]]
+    assert bounds("`kmu`") == [_DESK_SIZE["kmu"], (_DESK_HOOK_PRODUCT_SIZE,)]
+    assert bounds("`jack`") == [(_DESK_JACK_SIZE,)]
+    for row in ("`interp`", "`superjack`", "`superjack` at θ ≠ 1", "`expand`", "`kmu`"):
+        assert f"`p, q <= {DESK_PQ}`" in table[row]
 
 
 def test_import_loads_no_dataclasses_or_inspect():

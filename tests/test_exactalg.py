@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -26,7 +27,7 @@ from superbc.exactalg import (
     solve_exact,
 )
 
-from .strategies import rationals, scalars, sparse_polys
+from .strategies import rationals, ratfuncs, scalars, sparse_polys
 
 
 # -- scalars ----------------------------------------------------------------
@@ -238,6 +239,79 @@ def test_integer_reduction_matches_euclid_over_q():
         kinds["negative lead"] += den[-1] < 0
         kinds["not primitive"] += gcd(*den) > 1
     assert all(v > 20 for v in kinds.values()), kinds
+
+
+@pytest.mark.parametrize("kind", ["int", "Fraction"])
+def test_integer_gcd_splits_off_the_common_power_of_theta(kind):
+    # theta^i a and theta^j b with a and b prime to theta: equal orders,
+    # unequal orders, and a zero constant term on one side only, with and
+    # without a further common factor
+    rng = random.Random(31)
+    zero = 0 if kind == "int" else Fraction(0)
+
+    def draw(degree):
+        # prime to theta: a zero constant term becomes 1
+        poly = _random_int_poly(rng, degree) if kind == "int" else _random_poly(rng, degree)
+        return poly if poly[0] else (type(poly[0])(1),) + poly[1:]
+
+    kinds = {"equal": 0, "unequal": 0, "one side": 0}
+    for _ in range(300):
+        a, b = draw(rng.randint(0, 6)), draw(rng.randint(0, 6))
+        if rng.random() < 0.5:
+            common = draw(rng.randint(1, 3))
+            a, b = _pmul(a, common), _pmul(b, common)
+        i = rng.randint(0, 4)
+        j = rng.choice((i, 0, rng.randint(1, 4)))
+        a, b = (zero,) * i + tuple(a), (zero,) * j + tuple(b)
+        got = _pgcd(a, b)
+        assert all(type(c) is int for c in got)
+        assert gcd(*got) == 1
+        assert _monic(got) == _euclid_gcd(a, b) == _monic(_pgcd(b, a)), (a, b)
+        assert got[: min(i, j)] == (0,) * min(i, j) and got[min(i, j)]
+        kinds["equal" if i == j else "one side" if not i or not j else "unequal"] += 1
+    assert all(v > 50 for v in kinds.values()), kinds
+
+
+def _assert_canonical(f):
+    """f's integer parts are in the canonical form, and num and den are its
+    monic Fraction view."""
+    n, d = f._n, f._d
+    assert all(type(c) is int for c in n + d)
+    assert d[-1] > 0 and (not n or n[-1])
+    if n:
+        assert gcd(*n, *d) == 1
+        assert _euclid_gcd(n, d) == (1,)
+    else:
+        assert d == (1,)
+    assert f.num == tuple(Fraction(c, d[-1]) for c in n)
+    assert f.den == _monic(d)
+    assert all(type(c) is Fraction for c in f.num + f.den)
+
+
+@given(ratfuncs(), scalars)
+def test_ratfunc_parts_are_canonical(f, g):
+    _assert_canonical(f)
+    results = [f + g, g + f, f - g, g - f, f * g, g * f, -f, f**2, f**0]
+    if g:
+        results.append(f / g)
+    if f:
+        results += [g / f, f**-2]
+    for r in results:
+        _assert_canonical(r)
+    assert RatFunc(f.num, f.den) == f
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(f, protocol))
+        assert (back._n, back._d) == (f._n, f._d)
+
+
+@given(st.one_of(rationals, st.integers(min_value=-50, max_value=50)))
+def test_constant_ratfunc_is_its_rational(c):
+    f = RatFunc(c)
+    _assert_canonical(f)
+    assert f == c and c == f
+    assert hash(f) == hash(c)
+    assert f.is_constant() and f.constant_value() == c
+    assert {f: 1}[c] == 1
 
 
 def test_exact_integer_division():

@@ -27,7 +27,14 @@ from superbc.interpbc import (
     weyl_vectors,
 )
 from superbc.partitions import NotAHook, UsageError
-from superbc.superpoly import a_variables, is_even_supersymmetric, phi_theta, squared_substitution, super_jack
+from superbc.superpoly import (
+    a_variables,
+    factorial_super_schur,
+    is_even_supersymmetric,
+    phi_theta,
+    squared_substitution,
+    super_jack,
+)
 from superbc.symmfunc import jack_P
 
 P = Partition.of
@@ -357,6 +364,33 @@ def test_imposing_the_normalization_gives_the_same_j():
             assert dict(j.coefficients) == expected, (hp, mu)
             checked += 1
     assert checked == 59
+
+
+def test_duality_swaps_the_two_families():
+    # Sergeev-Veselov duality, an oracle across (p, q) that no single
+    # construction checks: J_mu^(p,q)(x; y) = (-1)^|mu| J_mu'^(q,p)(y; x),
+    # while h_0 goes to 1 - h_0, so the y-nodes of one side are the x-nodes
+    # of the other.  In the squared basis SP_nu^(p,q)(x; y) is
+    # (-1)^|nu| SP_nu'^(q,p)(y; x), so b_nu = (-1)^(|mu| + |nu|) b'_nu'.
+    checked = 0
+    for p in (1, 2, 3):
+        for q in (1, 2, 3):
+            hp, dual = HookParams(p, q), HookParams(q, p)
+            for d in range(5 if max(p, q) == 3 else 6):
+                for mu in enumerate_hooks(hp, d):
+                    # the closed forms, (-4)^|mu| J, first: J's own grid
+                    # check would refuse a wrong node before the comparison;
+                    # dual exponents are (y1..yp, x1..xq) in this side's names
+                    closed = factorial_super_schur(mu.transpose(), dual)
+                    swapped = {e[q:] + e[:q]: (-1) ** d * c for e, c in closed.items()}
+                    assert swapped == factorial_super_schur(mu, hp), (mu, hp)
+                    J, Jd = interpolation_J(mu, hp), interpolation_J(mu.transpose(), dual)
+                    swapped = {e[q:] + e[:q]: (-1) ** d * c for e, c in Jd.poly.terms.items()}
+                    assert swapped == J.poly.terms, (mu, hp)
+                    dual_b = {nu.transpose(): (-1) ** (d + nu.size) * c for nu, c in Jd.coefficients}
+                    assert dual_b == dict(J.coefficients), (mu, hp)
+                    checked += 1
+    assert checked == 133
 
 
 def test_grid_kernel_matches_evaluate():

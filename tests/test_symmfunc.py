@@ -74,7 +74,9 @@ def test_m_to_p_table_inverts_the_p_to_m_matrix():
 
 def test_m_to_p_table_is_built_by_back_substitution():
     # one exact solve per partition took about 3.4 s at degree 12 (77
-    # partitions); back-substitution in dominance order takes a fraction
+    # partitions), and back-substitution in Fractions about 0.13 s;
+    # integer rows over one denominator each, with the power-sum expansions
+    # built afresh, take about 0.03 s on a 2-core Xeon
     _m_to_p_table.cache_clear()
     _p_to_m_expansion.cache_clear()
     start = time.perf_counter()
