@@ -668,15 +668,18 @@ class SparsePoly:
     def evaluate(self, values: Sequence) -> Scalar:
         """Evaluate at a full assignment of exact scalars.
 
-        One loop over the terms reads one power table per variable, built
-        for the call.  When every coefficient and coordinate is rational the
-        loop runs in Python integers: the coefficients enter as integer
-        numerators over their common denominator, and a coordinate n/d
-        whose variable reaches exponent top enters its table as
-        n^k d^(top - k), so every term carries the same factor prod d^top
-        and the sum is divided once at the end.  At an integer point every
-        d is 1 and the tables hold the plain powers.  A rational-function
-        coefficient or coordinate enters the same loop as it is."""
+        Each variable's column of exponents is read through one power table
+        for that variable, built for the call, and each term is the product
+        of its coefficient and its row of powers, summed by `sum` and `prod`
+        over the columns with no Python loop per term.  When every
+        coefficient and coordinate is rational the sum runs in Python
+        integers: the coefficients enter as integer numerators over their
+        common denominator, and a coordinate n/d whose variable reaches
+        exponent top enters its table as n^k d^(top - k), so every term
+        carries the same factor prod d^top and the sum is divided once at
+        the end.  At an integer point every d is 1 and the tables hold the
+        plain powers.  A rational-function coefficient or coordinate enters
+        the same sum as it is."""
         if len(values) != len(self.vars):
             raise VariableMismatch(f"expected {len(self.vars)} values, got {len(values)}")
         points = list(map(as_scalar, values))
@@ -687,19 +690,20 @@ class SparsePoly:
         )
         if rational:
             coeffs, den = _common_denominator(coeffs)
-        tables = []
-        for v, top in zip(points, map(max, zip(*terms))):
+        columns = list(zip(*terms))
+        powers = []
+        for v, column in zip(points, columns):
+            top = max(column)
             if isinstance(v, Fraction) and v.denominator == 1:
-                tables.append([v.numerator**k for k in range(top + 1)])
+                table = [v.numerator**k for k in range(top + 1)]
             elif rational:
                 n, d = v.numerator, v.denominator
-                tables.append([n**k * d ** (top - k) for k in range(top + 1)])
+                table = [n**k * d ** (top - k) for k in range(top + 1)]
                 den *= d**top
             else:
-                tables.append([v**k for k in range(top + 1)])
-        total = 0
-        for exps, c in zip(terms, coeffs):
-            total = total + prod(map(operator.getitem, tables, exps), start=c)
+                table = [v**k for k in range(top + 1)]
+            powers.append(map(table.__getitem__, column))
+        total = sum(map(prod, zip(coeffs, *powers)))
         return Fraction(total, den) if rational else as_scalar(total)
 
     def substitute(self, assignment: Mapping) -> "SparsePoly":

@@ -24,6 +24,7 @@ from superbc.partitions import (
 )
 from superbc.superpoly import (
     a_variables,
+    dominant_terms,
     factorial_super_schur,
     is_even_supersymmetric,
     power_sum,
@@ -137,9 +138,10 @@ def grid_point(lam: Partition, hp: HookParams) -> GridPoint:
 class InterpolationResult(NamedTuple):
     """J_mu with what its construction reports.  `mode` is "top" exactly
     when `degenerate_normalization` holds.  `measured_top_coefficient`
-    holds mu's coefficient in the squared basis, which the construction
-    fixes to (-1/4)^{|mu|}; the name is kept because it is a key of the
-    CLI's structured output."""
+    holds mu's coefficient in the squared basis, (-1/4)^{|mu|}: the
+    construction checks that the closed form's top degree is SP_mu(x^2,
+    y^2) and scales it by that value.  The name is kept because it is a
+    key of the CLI's structured output."""
 
     mu: Partition
     hp: HookParams
@@ -270,7 +272,9 @@ def _lead_order(hp: HookParams, size: int) -> tuple:
     substitution order: tuples (nu, lead, sign, terms) in descending lead
     order, where lead is the exponent vector x^{2 nu_natural}, sign the
     coefficient +-1 of SP_nu on it (one supertableau has that weight), and
-    terms SP_nu(x^2, y^2) as an integer term map.
+    terms SP_nu(x^2, y^2) as an integer term map.  It holds the full map
+    of every hook of the size, so a J_mu reads it only for the sizes below
+    |mu|, and an expansion for its own size.
 
     Back-substitution rests on two facts, checked here: SP_nu is
     homogeneous of degree 2|nu|, so it has no term on the lead of a hook of
@@ -303,7 +307,8 @@ def _squared_basis_coefficients(scaled: dict, hp: HookParams, sizes) -> dict:
     """Integer coefficients b_nu of an integer term map in the squared basis
     of the hooks nu whose size is in `sizes`, in enumeration order, by
     back-substitution: by size from the largest, and within one size in
-    the order of `_lead_order`.  A remainder off their span is a fault."""
+    the order of `_lead_order`.  A remainder off their span is a fault, so
+    the map must have no term of a degree outside 2 * `sizes`."""
     remainder = dict(scaled)
     coeffs = {}
     for size in sorted(sizes, reverse=True):
@@ -318,19 +323,57 @@ def _squared_basis_coefficients(scaled: dict, hp: HookParams, sizes) -> dict:
 
 
 @lru_cache(maxsize=None)
+def _orderings(exps: tuple) -> tuple:
+    """The distinct orderings of a tuple, each once."""
+    if len(exps) < 2:
+        return (exps,)
+    return tuple(
+        (v,) + rest
+        for i, v in enumerate(exps)
+        if v not in exps[:i]
+        for rest in _orderings(exps[:i] + exps[i + 1 :])
+    )
+
+
+def _is_squared_sp(top: dict, mu: Partition, hp: HookParams) -> bool:
+    """Whether an integer term map is SP_mu(x^2, y^2), built from SP_mu's
+    dominant terms only (`dominant_terms`).
+
+    SP_mu is separately symmetric in the x's and in the y's, so its terms
+    are the orderings of the x-part and of the y-part of its dominant
+    terms, each with the dominant term's coefficient.  A map that has each
+    of them with that coefficient, and no other term, is SP_mu: it is
+    checked term by term and then by its number of terms, which also
+    catches a term of another degree."""
+    p = hp.p
+    get = top.get
+    count = 0
+    for exps, c in dominant_terms(mu, hp).items():
+        doubled = tuple([2 * e for e in exps])
+        xs, ys = _orderings(doubled[:p]), _orderings(doubled[p:])
+        if any(get(x + y) != c for x in xs for y in ys):
+            return False
+        count += len(xs) * len(ys)
+    return count == len(top)
+
+
+@lru_cache(maxsize=None)
 def interpolation_J(mu: Partition, hp: HookParams) -> InterpolationResult:
     """J_mu as Molev's factorial supersymmetric Schur function in x^2, y^2
     with the interpolation nodes, scaled to the top coefficient
     (-1/4)^{|mu|}, and its coefficients in the squared super Jack basis.
 
-    The closed form is checked in integers, before the scale.  Its
-    coefficients b_nu in the squared basis come from back-substitution;
-    b_mu must be 1 and every other b_nu of size |mu| must be 0.  Then J
-    must vanish on the grid: sum b_nu SP_nu(grid(lam)) = 0 on each grid
-    orbit of the hooks lam of size <= |mu| that do not contain mu.  Those
-    rows, in the unknowns b_nu with |nu| < |mu|, pin J when their rank is
-    the number of unknowns; otherwise J is not determined by them, which
-    `extended_grid_used` reports.  A failed check is a fault.
+    The closed form is checked in integers, before the scale.  One pass
+    splits it at degree 2|mu|.  The terms of degree 2|mu| and above must
+    be SP_mu(x^2, y^2) (`_is_squared_sp`), so b_mu is 1 and every other
+    b_nu of size |mu| is 0.  The terms below come from back-substitution
+    on the squared basis of the hooks of size < |mu|, so the full basis of
+    size |mu| is never built.  Then J must vanish on the grid:
+    sum b_nu SP_nu(grid(lam)) = 0 on each grid orbit of the hooks lam of
+    size <= |mu| that do not contain mu.  Those rows, in the unknowns b_nu
+    with |nu| < |mu|, pin J when their rank is the number of unknowns;
+    otherwise J is not determined by them, which `extended_grid_used`
+    reports.  A failed check is a fault.
 
     This is the one place that labels J: "paper" when the normalization
     target is nonzero, "top" when it vanishes.  A mu that is not a
@@ -341,11 +384,18 @@ def interpolation_J(mu: Partition, hp: HookParams) -> InterpolationResult:
     d = mu.size
     degenerate = not normalization_target(mu, hp)
     scaled = factorial_super_schur(mu, hp)
-    b = _squared_basis_coefficients(scaled, hp, range(d + 1))
-    if any(b[nu] != (1 if nu == mu else 0) for nu in _lead_order(hp, d)[0]):
+    lower, top = {}, {}
+    for e, c in scaled.items():
+        if sum(e) < 2 * d:
+            lower[e] = c
+        else:
+            top[e] = c
+    b = _squared_basis_coefficients(lower, hp, range(d))
+    if not _is_squared_sp(top, mu, hp):
         raise InconsistentSystem(
             f"the closed form's top degree is not SP_mu for mu = {mu} at (p, q) = ({hp.p}, {hp.q})"
         )
+    b.update((nu, 1 if nu == mu else 0) for nu in enumerate_hooks(hp, d, "exact"))
     weights = [b[nu] for nu in _unknowns(hp, d)]
     rows = []
     for row, value in _vanishing_rows(mu, hp, 0):

@@ -139,13 +139,14 @@ def _strip_weight(k: int, contents: tuple, hp: HookParams, interpolation: bool) 
 
 
 @lru_cache(maxsize=None)
-def _branching(k: int, shape: Partition, hp: HookParams, interpolation: bool, point):
+def _branching(k: int, shape: Partition, hp: HookParams, interpolation: bool, point, dominant: bool):
     """Sum over the fillings of shape by the first k letters of the product
     of their cell weights: the sum over the rho with shape / rho a strip of
     the k-th letter's kind of _branching(k - 1, rho) times the strip's
     weight.  A map from exponent vectors in the first k letters' variables
     to nonzero integers or, given a point (p + q integers), the integer
-    value there."""
+    value there.  `dominant` keeps only the exponent vectors that do not
+    increase within the x-letters and within the y-letters."""
     n_x = min(k, hp.p)
     if shape.part(n_x + 1) > k - n_x:
         # not an (n_x, k - n_x)-hook, so no filling; for k = 0 every
@@ -153,16 +154,24 @@ def _branching(k: int, shape: Partition, hp: HookParams, interpolation: bool, po
         return {} if point is None else 0
     if not k:
         return {(): 1} if point is None else 1
+    # a vector whose prefix increases within a family never stops doing so,
+    # so dropping it at each step drops exactly the non-dominant vectors
+    # and leaves the others' sums as they are
+    capped = dominant and k not in (1, hp.p + 1)
     total = {} if point is None else 0
     for rho, contents in _strips(shape, k > hp.p):
-        value = _branching(k - 1, rho, hp, interpolation, point)
+        value = _branching(k - 1, rho, hp, interpolation, point, dominant)
         if not value:
             continue
         weight = _strip_weight(k, contents, hp, interpolation)
         if point is None:
             # letter k's exponent is new to every term, so no two products
             # share an exponent vector and only the sum over rho can cancel
-            add_terms(((e + (n,), c * a) for e, c in value.items() for n, a in weight), total)
+            if capped:
+                pairs = ((e + (n,), c * a) for e, c in value.items() for n, a in weight if n <= e[-1])
+            else:
+                pairs = ((e + (n,), c * a) for e, c in value.items() for n, a in weight)
+            add_terms(pairs, total)
         else:
             v = point[k - 1]
             total += value * sum(a * v**n for n, a in weight)
@@ -173,7 +182,7 @@ def super_schur(lam: Partition, hp: HookParams, point=None):
     """The super Jack polynomial at theta = 1, hs_lam(x; -y), by the
     branching rule: a polynomial in x1..xp, y1..yq, or, given a point (a
     tuple of p + q integers), its integer value there."""
-    value = _branching(hp.p + hp.q, lam, hp, False, point)
+    value = _branching(hp.p + hp.q, lam, hp, False, point, False)
     if point is not None:
         return value
     # the coefficients take few distinct values: one Fraction for each
@@ -181,12 +190,21 @@ def super_schur(lam: Partition, hp: HookParams, point=None):
     return SparsePoly._raw(a_variables(hp), {e: scalars[c] for e, c in value.items()})
 
 
+def dominant_terms(lam: Partition, hp: HookParams) -> dict:
+    """The terms of hs_lam(x; -y), the super Jack polynomial at theta = 1,
+    on the exponent vectors that do not increase within x1..xp and within
+    y1..yq, by the branching rule restricted to them: one representative
+    of each orbit of the separate symmetry.  The memo's own map from
+    exponent vectors to nonzero integers, to be read and not changed."""
+    return _branching(hp.p + hp.q, lam, hp, False, None, True)
+
+
 def factorial_super_schur(lam: Partition, hp: HookParams) -> dict:
     """Molev's factorial supersymmetric Schur function in X = x^2, Y = y^2
     with the interpolation nodes, as a map from exponent vectors in
     x1..xp, y1..yq (all even) to nonzero integers: the memo's own map, to
-    be read and not changed."""
-    return _branching(hp.p + hp.q, lam, hp, True, None)
+    be read and not changed.  Its top degree, 2|lam|, is hs_lam(X; -Y)."""
+    return _branching(hp.p + hp.q, lam, hp, True, None, False)
 
 
 @lru_cache(maxsize=None)

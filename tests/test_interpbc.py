@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from superbc.exactalg import SparsePoly, THETA, solve_exact
+from superbc.exactalg import SparsePoly, THETA, add_terms, solve_exact
 from superbc.partitions import HookParams, Partition, enumerate_hooks, partitions_of, sort_key
 from superbc.interpbc import (
     GridPoint,
@@ -328,6 +328,70 @@ def test_a_closed_form_the_checks_reject_is_an_internal_fault(monkeypatch):
         interpolation_J.cache_clear()
 
 
+def _top_degree_fault(fault, genuine, mu, hp):
+    """The closed form of mu with its top degree broken in one way: a term
+    off the dominant vectors (x-part or y-part not non-increasing) gets
+    another coefficient or goes missing, or a term above the top degree
+    comes in."""
+    form = dict(genuine(mu, hp))
+    top = [e for e in form if sum(e) == 2 * mu.size]
+    victim = next(
+        e for e in top
+        if list(e[: hp.p]) != sorted(e[: hp.p], reverse=True) or list(e[hp.p :]) != sorted(e[hp.p :], reverse=True)
+    )
+    if fault == "non-dominant-coefficient":
+        form[victim] += 1
+    elif fault == "missing-non-dominant-term":
+        del form[victim]
+    else:
+        form[(2 * mu.size + 2,) + (0,) * (hp.p + hp.q - 1)] = 1
+    return form
+
+
+@pytest.mark.parametrize("fault", ["non-dominant-coefficient", "missing-non-dominant-term", "term-above-the-top"])
+def test_a_top_degree_off_sp_mu_is_an_internal_fault(monkeypatch, capsys, fault):
+    # the top degree is read on SP_mu's dominant terms, the coefficients
+    # off them and the number of terms included: each fault keeps the
+    # dominant terms of the top degree as they are
+    import superbc.interpbc
+    from superbc.cli import run
+    from superbc.interpbc import InconsistentSystem
+
+    hp, mu = HookParams(2, 2), P(2, 1)
+    genuine = superbc.interpbc.factorial_super_schur
+    monkeypatch.setattr(
+        superbc.interpbc, "factorial_super_schur",
+        lambda mu_, hp_: _top_degree_fault(fault, genuine, mu_, hp_) if (mu_, hp_) == (mu, hp) else genuine(mu_, hp_),
+    )
+    interpolation_J.cache_clear()
+    try:
+        with pytest.raises(InconsistentSystem, match="top degree is not SP_mu"):
+            interpolation_J(mu, hp)
+        code = run(["interp", "--mu", "2,1", "--p", "2", "--q", "2"])
+    finally:
+        interpolation_J.cache_clear()
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err.startswith("internal error: the closed form's top degree is not SP_mu")
+
+
+def test_a_j_builds_the_squared_basis_only_below_its_size():
+    # the top degree is checked on SP_mu's dominant terms, so a J of size d
+    # reads the squared basis of the sizes below d alone
+    from superbc.interpbc import _lead_order
+
+    for hp, mu in [(HookParams(1, 1), P(4)), (HookParams(2, 2), P(3, 2)), (HookParams(3, 3), P(1, 1, 1, 1, 1))]:
+        d = mu.size
+        interpolation_J.cache_clear()
+        _lead_order.cache_clear()
+        interpolation_J(mu, hp)
+        assert _lead_order.cache_info().misses == d, (hp, mu)
+        for size in range(d):
+            _lead_order(hp, size)
+        assert _lead_order.cache_info().misses == d, (hp, mu)
+    interpolation_J.cache_clear()
+
+
 def _paper_system(mu, hp, window):
     # Reference system that imposes the normalization instead of checking it:
     # mu's own coefficient is an unknown, and a last row sets the value at
@@ -391,6 +455,41 @@ def test_duality_swaps_the_two_families():
                     assert dual_b == dict(J.coefficients), (mu, hp)
                     checked += 1
     assert checked == 133
+
+
+def _stable_restriction(terms, hp):
+    """x_p^2 = y_q^2 = t in a term map with even exponents: the map of the
+    terms free of t in the other variables, and whether every power of t
+    cancels."""
+    p = hp.p
+    grouped = add_terms(((e[: p - 1] + e[p:-1], e[p - 1] + e[-1]), c) for e, c in terms.items())
+    return {rest: c for (rest, power), c in grouped.items() if not power}, all(not power for _, power in grouped)
+
+
+def test_stability_drops_one_variable_of_each_family():
+    # Sergeev-Veselov stability, an oracle across (p, q): x_p^2 = y_q^2 = t
+    # takes J_mu^(p,q) to J_mu^(p-1,q-1) when mu is a (p-1, q-1)-hook and
+    # to 0 otherwise, whatever t.  h_0 does not change along the step, but
+    # the y-nodes do, so the two sides are not one sum relabelled.  SP_nu
+    # restricts the same way, so b_nu agrees on the hooks both sides share.
+    checked = 0
+    for p, q in [(2, 2), (3, 2), (2, 3), (3, 3)]:
+        hp, low = HookParams(p, q), HookParams(p - 1, q - 1)
+        for mu in enumerate_hooks(hp, 5, "upto"):
+            stable = mu.is_hook(low)
+            # the closed forms, (-4)^|mu| J, first: J's own grid check
+            # would refuse a wrong node before the comparison
+            closed, t_free = _stable_restriction(factorial_super_schur(mu, hp), hp)
+            assert t_free and closed == (factorial_super_schur(mu, low) if stable else {}), (mu, hp)
+            J = interpolation_J(mu, hp)
+            restricted, t_free = _stable_restriction(J.poly.terms, hp)
+            assert t_free and restricted == (interpolation_J(mu, low).poly.terms if stable else {}), (mu, hp)
+            b = dict(J.coefficients)
+            low_b = dict(interpolation_J(mu, low).coefficients) if stable else {}
+            shared = enumerate_hooks(low, mu.size, "upto")
+            assert [b[nu] for nu in shared] == [low_b.get(nu, 0) for nu in shared], (mu, hp)
+            checked += 1
+    assert checked == 76
 
 
 def test_grid_kernel_matches_evaluate():

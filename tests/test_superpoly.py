@@ -11,6 +11,7 @@ from superbc.partitions import HookParams, Partition, enumerate_hooks, partition
 from superbc.superpoly import (
     ZeroTheta,
     a_variables,
+    dominant_terms,
     factorial_super_schur,
     h_variables,
     is_even_supersymmetric,
@@ -259,6 +260,25 @@ def test_branching_rule_is_the_supertableaux_sum():
             assert super_schur(lam, hp) == _supertableaux_sum(lam, hp, lambda k, c: 0, 1), (lam, hp)
             got = SparsePoly(a_variables(hp), factorial_super_schur(lam, hp))
             assert got == _supertableaux_sum(lam, hp, _interpolation_nodes(hp), 2), (lam, hp)
+
+
+def test_the_dominant_pass_is_the_full_pass_on_dominant_vectors():
+    # the restricted theta = 1 pass keeps the full pass's coefficient on
+    # every exponent vector that does not increase within the x's and
+    # within the y's, and nothing else
+    checked = 0
+    for p in (1, 2, 3):
+        for q in (1, 2, 3):
+            hp = HookParams(p, q)
+            for nu in enumerate_hooks(hp, 5 if max(p, q) == 3 else 6, "upto"):
+                expected = {
+                    e: c for e, c in super_schur(nu, hp).terms.items()
+                    if list(e[:p]) == sorted(e[:p], reverse=True) and list(e[p:]) == sorted(e[p:], reverse=True)
+                }
+                got = dominant_terms(nu, hp)
+                assert got == expected and all(type(c) is int for c in got.values()), (nu, hp)
+                checked += 1
+    assert checked == 205
 
 
 def test_the_generic_h_family_vanishes_and_normalizes_identically_in_h():
