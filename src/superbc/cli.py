@@ -90,11 +90,15 @@ def _partition(text: str) -> Partition:
 # max(p, q) - 1); the next size took 6-10 s, and each size after it about
 # twice as long again or more.  superjack builds theta = 1 by the branching
 # rule and any other theta through the generic-theta Jack expansion, so each
-# route has its row; the theta = 1 row keeps the sizes timed when it too
-# took the Jack route, and runs them far inside 5 s.  kmu with --p and --q
-# does expand's work.  Without them it is the hook product alone, at most
-# |mu|!, which is fast at any size; its bound is the largest size whose
-# factorial Python still prints under its default limit of 4300 digits.
+# route has its row.  The branching rule's polynomial passes (superjack at
+# theta = 1 and interp's closed form) run on the dominant exponent vectors
+# only, and the full term map is their orbit expansion under the separate
+# symmetry in the x's and in the y's.  The theta = 1 row keeps the sizes
+# timed when it too took the Jack route, and runs them far inside 5 s.  kmu
+# with --p and --q does expand's work.  Without them it is the hook product
+# alone, at most |mu|!, which is fast at any size; its bound is the largest
+# size whose factorial Python still prints under its default limit of 4300
+# digits.
 _DESK_SIZE = {
     "interp": (14, 9, 8),
     "superjack": (17, 16, 13),

@@ -23,6 +23,7 @@ from superbc.partitions import (
     lambda_natural,
 )
 from superbc.superpoly import (
+    _orbit_expansion,
     a_variables,
     dominant_terms,
     factorial_super_schur,
@@ -322,39 +323,17 @@ def _squared_basis_coefficients(scaled: dict, hp: HookParams, sizes) -> dict:
     return {nu: coeffs[nu] for size in sorted(sizes) for nu in _lead_order(hp, size)[0]}
 
 
-@lru_cache(maxsize=None)
-def _orderings(exps: tuple) -> tuple:
-    """The distinct orderings of a tuple, each once."""
-    if len(exps) < 2:
-        return (exps,)
-    return tuple(
-        (v,) + rest
-        for i, v in enumerate(exps)
-        if v not in exps[:i]
-        for rest in _orderings(exps[:i] + exps[i + 1 :])
-    )
-
-
 def _is_squared_sp(top: dict, mu: Partition, hp: HookParams) -> bool:
     """Whether an integer term map is SP_mu(x^2, y^2), built from SP_mu's
     dominant terms only (`dominant_terms`).
 
     SP_mu is separately symmetric in the x's and in the y's, so its terms
     are the orderings of the x-part and of the y-part of its dominant
-    terms, each with the dominant term's coefficient.  A map that has each
-    of them with that coefficient, and no other term, is SP_mu: it is
-    checked term by term and then by its number of terms, which also
-    catches a term of another degree."""
-    p = hp.p
-    get = top.get
-    count = 0
-    for exps, c in dominant_terms(mu, hp).items():
-        doubled = tuple([2 * e for e in exps])
-        xs, ys = _orderings(doubled[:p]), _orderings(doubled[p:])
-        if any(get(x + y) != c for x in xs for y in ys):
-            return False
-        count += len(xs) * len(ys)
-    return count == len(top)
+    terms, each with the dominant term's coefficient (`_orbit_expansion`).
+    A map is SP_mu when it equals that expansion, which also refuses any
+    other term, one of another degree included."""
+    doubled = ((tuple([2 * e for e in exps]), c) for exps, c in dominant_terms(mu, hp).items())
+    return _orbit_expansion(doubled, hp.p) == top
 
 
 @lru_cache(maxsize=None)

@@ -98,6 +98,13 @@ def phi_theta(f: SymFun, hp: HookParams, theta) -> SparsePoly:
 # the cell weights X_k - (2(k + c) - 1)^2 for the x-letters and
 # (2(c - l) + 2p + 1)^2 - Y_l for the y-letters (the interpolation nodes),
 # it is (-4)^{|lam|} J_lam at k = -1 and h = q - p + 1/2.
+#
+# Both are separately symmetric in the x's and in the y's (Molev, 1998;
+# Macdonald, Schur functions: theme and variations, 1992).  So a polynomial
+# pass keeps only the dominant exponent vectors, those that do not increase
+# within either family, and the full term map is their orbit expansion:
+# each coefficient on every distinct ordering of its vector's x-part and
+# of its y-part.  A pass at a point is never restricted.
 
 
 @lru_cache(maxsize=None)
@@ -139,14 +146,14 @@ def _strip_weight(k: int, contents: tuple, hp: HookParams, interpolation: bool) 
 
 
 @lru_cache(maxsize=None)
-def _branching(k: int, shape: Partition, hp: HookParams, interpolation: bool, point, dominant: bool):
+def _branching(k: int, shape: Partition, hp: HookParams, interpolation: bool, point):
     """Sum over the fillings of shape by the first k letters of the product
     of their cell weights: the sum over the rho with shape / rho a strip of
     the k-th letter's kind of _branching(k - 1, rho) times the strip's
-    weight.  A map from exponent vectors in the first k letters' variables
-    to nonzero integers or, given a point (p + q integers), the integer
-    value there.  `dominant` keeps only the exponent vectors that do not
-    increase within the x-letters and within the y-letters."""
+    weight.  Given a point (p + q integers), the integer value there;
+    otherwise a map from the dominant exponent vectors in the first k
+    letters' variables, those that do not increase within the x-letters and
+    within the y-letters, to nonzero integers."""
     n_x = min(k, hp.p)
     if shape.part(n_x + 1) > k - n_x:
         # not an (n_x, k - n_x)-hook, so no filling; for k = 0 every
@@ -157,10 +164,10 @@ def _branching(k: int, shape: Partition, hp: HookParams, interpolation: bool, po
     # a vector whose prefix increases within a family never stops doing so,
     # so dropping it at each step drops exactly the non-dominant vectors
     # and leaves the others' sums as they are
-    capped = dominant and k not in (1, hp.p + 1)
+    capped = point is None and k not in (1, hp.p + 1)
     total = {} if point is None else 0
     for rho, contents in _strips(shape, k > hp.p):
-        value = _branching(k - 1, rho, hp, interpolation, point, dominant)
+        value = _branching(k - 1, rho, hp, interpolation, point)
         if not value:
             continue
         weight = _strip_weight(k, contents, hp, interpolation)
@@ -178,33 +185,63 @@ def _branching(k: int, shape: Partition, hp: HookParams, interpolation: bool, po
     return total
 
 
+@lru_cache(maxsize=None)
+def _orderings(exps: tuple) -> tuple:
+    """The distinct orderings of a tuple, each once."""
+    if len(exps) < 2:
+        return (exps,)
+    return tuple(
+        (v,) + rest
+        for i, v in enumerate(exps)
+        if v not in exps[:i]
+        for rest in _orderings(exps[:i] + exps[i + 1 :])
+    )
+
+
+def _orbit_expansion(dominant, p: int) -> dict:
+    """The full term map of a polynomial separately symmetric in its first
+    p variables and in the rest, from its (exponent vector, coefficient)
+    pairs on the dominant vectors: each coefficient on every distinct
+    ordering of its vector's x-part and of its y-part."""
+    full = {}
+    for e, c in dominant:
+        ys = _orderings(e[p:])
+        for x in _orderings(e[:p]):
+            for y in ys:
+                full[x + y] = c
+    return full
+
+
 def super_schur(lam: Partition, hp: HookParams, point=None):
     """The super Jack polynomial at theta = 1, hs_lam(x; -y), by the
-    branching rule: a polynomial in x1..xp, y1..yq, or, given a point (a
-    tuple of p + q integers), its integer value there."""
-    value = _branching(hp.p + hp.q, lam, hp, False, point, False)
+    branching rule: a polynomial in x1..xp, y1..yq, the orbit expansion of
+    `dominant_terms`, or, given a point (a tuple of p + q integers), its
+    integer value there."""
     if point is not None:
-        return value
+        return _branching(hp.p + hp.q, lam, hp, False, point)
+    value = dominant_terms(lam, hp)
     # the coefficients take few distinct values: one Fraction for each
     scalars = {c: Fraction(c) for c in set(value.values())}
-    return SparsePoly._raw(a_variables(hp), {e: scalars[c] for e, c in value.items()})
+    terms = _orbit_expansion(((e, scalars[c]) for e, c in value.items()), hp.p)
+    return SparsePoly._raw(a_variables(hp), terms)
 
 
 def dominant_terms(lam: Partition, hp: HookParams) -> dict:
     """The terms of hs_lam(x; -y), the super Jack polynomial at theta = 1,
     on the exponent vectors that do not increase within x1..xp and within
-    y1..yq, by the branching rule restricted to them: one representative
-    of each orbit of the separate symmetry.  The memo's own map from
-    exponent vectors to nonzero integers, to be read and not changed."""
-    return _branching(hp.p + hp.q, lam, hp, False, None, True)
+    y1..yq: one representative of each orbit of the separate symmetry.
+    The memo's own map from exponent vectors to nonzero integers, to be
+    read and not changed."""
+    return _branching(hp.p + hp.q, lam, hp, False, None)
 
 
 def factorial_super_schur(lam: Partition, hp: HookParams) -> dict:
     """Molev's factorial supersymmetric Schur function in X = x^2, Y = y^2
-    with the interpolation nodes, as a map from exponent vectors in
-    x1..xp, y1..yq (all even) to nonzero integers: the memo's own map, to
-    be read and not changed.  Its top degree, 2|lam|, is hs_lam(X; -Y)."""
-    return _branching(hp.p + hp.q, lam, hp, True, None, False)
+    with the interpolation nodes, as a new map from exponent vectors in
+    x1..xp, y1..yq (all even) to nonzero integers: the orbit expansion of
+    its dominant terms, since it is separately symmetric in the X's and in
+    the Y's.  Its top degree, 2|lam|, is hs_lam(X; -Y)."""
+    return _orbit_expansion(_branching(hp.p + hp.q, lam, hp, True, None).items(), hp.p)
 
 
 @lru_cache(maxsize=None)

@@ -255,24 +255,31 @@ def _interpolation_nodes(hp, delta=0):
 
 
 def test_branching_rule_is_the_supertableaux_sum():
-    for hp in (HP11, HP21, HookParams(1, 2), HookParams(2, 2)):
-        for lam in enumerate_hooks(hp, 4, "upto"):
+    # both term maps are orbit expansions of dominant terms, so the oracle
+    # runs at every desk (p, q): up to size 4 while p + q <= 4, and up to
+    # size 3 where the fillings by p + q letters are more
+    cases = [(hp, 4) for hp in (HP11, HP21, HookParams(1, 2), HookParams(2, 2))]
+    cases += [(HookParams(p, q), 3) for p, q in ((3, 1), (1, 3), (3, 2), (2, 3), (3, 3))]
+    for hp, max_size in cases:
+        for lam in enumerate_hooks(hp, max_size, "upto"):
             assert super_schur(lam, hp) == _supertableaux_sum(lam, hp, lambda k, c: 0, 1), (lam, hp)
             got = SparsePoly(a_variables(hp), factorial_super_schur(lam, hp))
             assert got == _supertableaux_sum(lam, hp, _interpolation_nodes(hp), 2), (lam, hp)
 
 
 def test_the_dominant_pass_is_the_full_pass_on_dominant_vectors():
-    # the restricted theta = 1 pass keeps the full pass's coefficient on
-    # every exponent vector that does not increase within the x's and
-    # within the y's, and nothing else
+    # the restricted theta = 1 pass keeps the coefficient of the full
+    # polynomial on every exponent vector that does not increase within the
+    # x's and within the y's, and nothing else.  The full polynomial comes
+    # from the Jack route, phi_1(P_nu(1)): super_schur is the orbit
+    # expansion of this very pass, so it would compare the pass with itself
     checked = 0
     for p in (1, 2, 3):
         for q in (1, 2, 3):
             hp = HookParams(p, q)
             for nu in enumerate_hooks(hp, 5 if max(p, q) == 3 else 6, "upto"):
                 expected = {
-                    e: c for e, c in super_schur(nu, hp).terms.items()
+                    e: c for e, c in phi_theta(jack_P(nu, ONE), hp, ONE).terms.items()
                     if list(e[:p]) == sorted(e[:p], reverse=True) and list(e[p:]) == sorted(e[p:], reverse=True)
                 }
                 got = dominant_terms(nu, hp)
