@@ -90,64 +90,103 @@ def _common_denominator(values) -> tuple:
     return tuple(n * (den // d) for n, d in pairs), den
 
 
-def _primitive(cs) -> list:
-    """Integer primitive part of a nonzero coefficient sequence of Fractions
-    or ints: the denominators cleared and the content divided out."""
-    ints = cs if all(type(v) is int for v in cs) else _common_denominator(cs)[0]
+def _primitive(cs) -> tuple:
+    """(content, primitive part) of a nonzero coefficient sequence of
+    Fractions or ints: cs = content * part, with part an integer list whose
+    entries have gcd 1 and content > 0, an int when every entry is one."""
+    try:
+        g = gcd(*cs)
+        return g, [v // g for v in cs]
+    except TypeError:
+        # math.gcd takes no Fraction
+        pass
+    ints, den = _common_denominator(cs)
     g = gcd(*ints)
-    return [v // g for v in ints]
+    return Fraction(g, den), [v // g for v in ints]
 
 
 def _pgcd(a: tuple, b: tuple) -> tuple:
-    """Integer primitive gcd, by a primitive pseudo-remainder sequence.
+    """(g, a/g, b/g): the integer primitive gcd g of two trimmed coefficient
+    sequences, lead positive, and the exact cofactors, by the heuristic gcd
+    of Char, Geddes and Gonnet (GCDHEU).
 
     The gcd over Q is the gcd of the integer primitive parts up to a
-    constant, so both inputs are first cleared of denominators and content.
-    The power of theta is split off first: with a' and b' prime to theta,
-    gcd(theta^i a', theta^j b') = theta^min(i, j) gcd(a', b').  Each step
-    then replaces (a, b) by b and the primitive part of a constant multiple
-    of a mod b: every cancelling step scales by lc(b)/g, with g the gcd of
-    lc(b) and the coefficient it cancels, so the remainder stays in integers
-    and the content division keeps them small.  A constant gcd is (1,), and
-    the gcd of two zeros is ()."""
-    if len(a) < len(b):
-        a, b = b, a
-    if not a:
-        return ()
-    if len(b) == 1:
-        return (1,)
-    if not b:
-        return tuple(_primitive(a))
+    constant, so the inputs are cleared of denominators and content.  The
+    power of theta is split off first: with a' and b' prime to theta,
+    gcd(theta^i a', theta^j b') = theta^min(i, j) gcd(a', b').  Then both
+    primitive parts are evaluated at an integer xi >= 2 min(|a'|, |b'|) + 2,
+    with |.| the largest absolute coefficient; every root of an integer
+    polynomial is below 1 + |.| in absolute value, so the part of smaller norm is not
+    0 at xi and the integer gcd of the two values is positive.  The
+    candidate is the primitive part of the polynomial whose coefficients
+    are the balanced xi-adic digits, each in (-xi/2, xi/2], of that gcd.
+
+    Correctness: at such a xi the candidate is gcd(a', b') whenever it
+    divides both a' and b' (Geddes, Czapor and Labahn, Algorithms for
+    Computer Algebra, 7.7), and the two exact divisions that check this are
+    the cofactors.  When either division fails, xi grows by a factor of
+    about 2.73 and the loop retries.
+
+    Termination: with a' = g a'' and b' = g b'', gcd(a'(xi), b'(xi)) is
+    k g(xi) with k = gcd(a''(xi), b''(xi)).  The resultant R = Res(a'', b'')
+    is not 0 and equals s a'' + t b'' for integer polynomials s and t, so k
+    divides R.  Once xi > 2 |R| |g| the digits are exactly those of k g,
+    whose primitive part is g, so the check passes.
+
+    A constant gcd is (1,); the gcd of two zeros is (), with cofactors ()."""
+    if not a or not b:
+        if not a and not b:
+            return (), (), ()
+        c, part = _primitive(a or b)
+        if part[-1] < 0:
+            c, part = -c, [-v for v in part]
+        g, cof = tuple(part), (c,)
+        return (g, cof, ()) if a else (g, (), cof)
+    if len(a) == 1 or len(b) == 1:
+        return (1,), a, b
     i = next(k for k, v in enumerate(a) if v)
     j = next(k for k, v in enumerate(b) if v)
-    a, b = _primitive(a[i:]), _primitive(b[j:])
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1:
-        r, n, lb = a, len(b), b[-1]
-        for k in range(len(r) - n, -1, -1):
-            c = r[k + n - 1]
-            if c:
-                g = gcd(lb, c)
-                s, c = lb // g, c // g
-                r = [s * v for v in r[:k]] + [s * v - c * w for v, w in zip(r[k:], b)]
-            r = r[: k + n - 1]
-        r = _ptrim(tuple(r))
-        a, b = b, _primitive(r) if r else []
-    return (0,) * min(i, j) + ((1,) if b else tuple(a))
+    ca, pa = _primitive(a[i:])
+    cb, pb = _primitive(b[j:])
+    if len(pa) == 1 or len(pb) == 1:
+        g = (1,)
+    else:
+        xi = 2 * min(max(map(abs, pa)), max(map(abs, pb))) + 2
+        while True:
+            h = gcd(_peval(pa, xi), _peval(pb, xi))
+            digits = []
+            while h:
+                r = h % xi
+                if 2 * r > xi:
+                    r -= xi
+                digits.append(r)
+                h = (h - r) // xi
+            # the top digit of a positive value is positive
+            g = tuple(_primitive(digits)[1])
+            if len(g) == 1:
+                break
+            try:
+                pa, pb = _pquo(pa, g), _pquo(pb, g)
+                break
+            except ArithmeticError:
+                xi = xi * 73794 // 27011
+    m = min(i, j)
+    return (
+        (0,) * m + g,
+        (0,) * (i - m) + (tuple(pa) if ca == 1 else tuple(ca * v for v in pa)),
+        (0,) * (j - m) + (tuple(pb) if cb == 1 else tuple(cb * v for v in pb)),
+    )
 
 
 def _canonical(num: tuple, den: tuple) -> tuple:
     """Lowest terms of num/den from trimmed integer coefficient sequences,
     den nonzero: the canonical `RatFunc` parts.  This is the one reduction
-    of the package: the integer primitive gcd divides both parts exactly
-    (Gauss's lemma), and `_normal` fixes the scale."""
+    of the package: the cofactors of the integer primitive gcd are num and
+    den divided exactly by it (Gauss's lemma), and `_normal` fixes the
+    scale."""
     if not num:
         return (), (1,)
-    g = _pgcd(num, den)
-    if len(g) > 1:
-        num, den = _pquo(num, g), _pquo(den, g)
-    return _normal(num, den)
+    return _normal(*_pgcd(num, den)[1:])
 
 
 def _normal(num: tuple, den: tuple) -> tuple:
@@ -162,14 +201,10 @@ def _normal(num: tuple, den: tuple) -> tuple:
     return tuple(v // c for v in num), tuple(v // c for v in den)
 
 
-def _quotients(a: tuple, b: tuple) -> tuple:
-    """a and b divided by their integer primitive gcd."""
-    g = _pgcd(a, b)
-    return (_pquo(a, g), _pquo(b, g)) if len(g) > 1 else (a, b)
-
-
-def _peval(a: tuple, x: Fraction) -> Fraction:
-    acc = _ZERO
+def _peval(a: tuple, x):
+    """a at x by Horner's rule: an int at an int x, a Fraction at a
+    Fraction x."""
+    acc = 0
     for c in reversed(a):
         acc = acc * x + c
     return acc
@@ -237,8 +272,10 @@ class RatFunc:
     zero is ((), (1,)).  The form is unique, so structural equality is
     mathematical equality; every operation reduces its integer result
     through `_canonical`, or through `_normal` where the parts are already
-    coprime.  `num` and `den` give the same function as `Fraction` tuples
-    with den monic.
+    coprime.  Sums and products first divide the pairs of parts that can
+    share a factor by their gcd, and take the exact cofactors that
+    `_pgcd`'s heuristic gcd returns, so no pair is divided twice.  `num`
+    and `den` give the same function as `Fraction` tuples with den monic.
     """
 
     __slots__ = ("_n", "_d")
@@ -308,7 +345,7 @@ class RatFunc:
             return NotImplemented
         a, b, c, d = self._n, self._d, o._n, o._d
         # with b/d = b'/d' in lowest terms, b d' = d b' is a common denominator
-        b1, d1 = _quotients(b, d)
+        _, b1, d1 = _pgcd(b, d)
         return RatFunc._from_ints(_padd(_pmul(a, d1), _pmul(c, b1)), _pmul(b, d1))
 
     __radd__ = __add__
@@ -417,8 +454,8 @@ def _product(a: tuple, b: tuple, c: tuple, d: tuple) -> RatFunc:
     """(a/b)(c/d) from integer parts, each pair without a common factor:
     (a/d)(c/b) with both quotients in lowest terms is in lowest terms over
     Q, so only the scale is left to fix."""
-    a, d = _quotients(a, d)
-    c, b = _quotients(c, b)
+    _, a, d = _pgcd(a, d)
+    _, c, b = _pgcd(c, b)
     return RatFunc._reduced(*_normal(_pmul(a, c), _pmul(b, d)))
 
 
@@ -461,9 +498,10 @@ def add_products(pairs) -> dict:
     Rational scalars go through `add_terms` unchanged.  Rational-function
     scalars are not added term by term, which would reduce every partial
     sum.  Each distinct denominator is taken as a primitive integer
-    polynomial, their lcm L is built with exact quotients, and each c is
-    written as an integer polynomial over L times a rational weight.  A
-    key's numerator is then summed in integers over one integer scale and
+    polynomial, their lcm L is built from `_pgcd`'s cofactors, and each c is
+    written as an integer polynomial over L times 1 over the denominator's
+    content.  With each entry, that weight becomes an integer pair (n, d),
+    and a key's numerator is summed in integers over one integer scale and
     reduced once (`_combination`).  A key that only rational scalars reach
     keeps a rational sum, as `add_terms` would give; a key that a
     rational-function scalar reaches gets a `RatFunc`, even a constant one;
@@ -479,23 +517,24 @@ def add_products(pairs) -> dict:
     prims: dict = {}
     for c, _ in functions:
         if c._d not in prims:
-            prims[c._d] = tuple(_primitive(c._d))
+            prims[c._d] = _primitive(c._d)
     common = (1,)
-    for d in prims.values():
+    for _, d in prims.values():
         # lcm(common, d) = common * d / gcd(common, d)
-        common = _pmul(common, _quotients(d, common)[0])
+        common = _pmul(common, _pgcd(d, common)[1])
     # c = n / (k P) = (n cof) / (k common), with cof = common / P
-    cofactors = {den: (_pquo(common, d), Fraction(d[-1], den[-1])) for den, d in prims.items()}
+    cofactors = {den: (_pquo(common, d), k) for den, (k, d) in prims.items()}
     parts: dict = {}
     for c, vec in functions:
-        cof, weight = cofactors[c._d]
+        cof, k = cofactors[c._d]
         poly = _pmul(c._n, cof)
         for key, t in vec.items():
-            parts.setdefault(key, []).append((weight * t, poly))
+            n, d = t.as_integer_ratio()
+            parts.setdefault(key, []).append(((n, k * d), poly))
     for key, terms in parts.items():
         extra = out.get(key)
         if extra is not None:
-            terms.append((extra, common))
+            terms.append((extra.as_integer_ratio(), common))
         total = _combination(terms, common)
         if total is None:
             out.pop(key, None)
@@ -505,14 +544,14 @@ def add_products(pairs) -> dict:
 
 
 def _combination(terms: list, den: tuple):
-    """The sum of w * poly over (rational w, integer sequence poly) pairs,
-    divided by the integer sequence den, as one reduced `RatFunc`; None when
-    the sum is 0.  The numerator is summed in integers over the lcm of the
-    denominators of the w, which then scales den."""
-    scale = lcm(*(w.denominator for w, _ in terms))
+    """The sum of (n/d) poly over ((n, d), poly) pairs of integers n and d
+    > 0 and integer sequences poly, divided by the integer sequence den, as
+    one reduced `RatFunc`; None when the sum is 0.  The numerator is summed
+    in integers over the lcm of the d, which then scales den."""
+    scale = lcm(*{d for (_, d), _ in terms})
     total = [0] * max(len(poly) for _, poly in terms)
-    for w, poly in terms:
-        k = w.numerator * (scale // w.denominator)
+    for (n, d), poly in terms:
+        k = n * (scale // d)
         for i, v in enumerate(poly):
             total[i] += k * v
     total = _ptrim(tuple(total))

@@ -188,21 +188,21 @@ def _p_to_m_expansion(parts: tuple) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _m_to_p_table(d: int) -> dict:
-    """Power-sum expansion of every m_lam with |lam| = d, by back-substitution.
+def _m_to_p_rows(d: int) -> dict:
+    """Power-sum expansion of every m_lam with |lam| = d, by back-substitution,
+    as integer rows: {lam.parts: ({rho: N_rho}, D)} with [p_rho] m_lam =
+    N_rho / D.
 
     p_lam = k_lam m_lam + sum of c_nu m_nu over nu above lam in dominance,
     with k_lam the product of the factorials of lam's part multiplicities.
     `partitions_of` lists every such nu before lam, so m_lam = (p_lam - sum
-    of c_nu m_nu) / k_lam is found from expansions already in the table.
-    Each row is kept as integer numerators N over one denominator D, with
-    the content of (N, D) divided out: row lam is formed over k_lam L, with
-    L the lcm of the D_nu it reads.  The rows become `Fraction`s at the
-    end."""
+    of c_nu m_nu) / k_lam is found from rows already built.  Row lam is
+    formed over k_lam L, with L the lcm of the D_nu it reads, and the
+    content of (N, D) is divided out."""
     rows: dict = {}
     for lam in partitions_of(d):
         p_lam = _p_to_m_expansion(lam.parts)
-        above = [(nu, c) for nu, c in p_lam.items() if nu != lam]
+        above = [(nu.parts, c) for nu, c in p_lam.items() if nu != lam]
         scale = lcm(*(rows[nu][1] for nu, _ in above))
         row = {lam: scale}
         for nu, c in above:
@@ -211,8 +211,21 @@ def _m_to_p_table(d: int) -> dict:
             add_terms(((rho, -f * v) for rho, v in num.items()), row)
         den = p_lam[lam] * scale
         g = gcd(den, *row.values())
-        rows[lam] = ({rho: v // g for rho, v in row.items()}, den // g)
-    return {lam: {rho: Fraction(v, den) for rho, v in num.items()} for lam, (num, den) in rows.items()}
+        rows[lam.parts] = ({rho: v // g for rho, v in row.items()}, den // g)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _m_to_p_table(d: int) -> dict:
+    """The m -> p table of degree d as `Fraction`s, {lam: {rho: [p_rho]
+    m_lam}}, keyed in `partitions_of` order: the view of `_m_to_p_rows`
+    that `SymFun.from_m` reads."""
+    rows = _m_to_p_rows(d)
+    out = {}
+    for lam in partitions_of(d):
+        num, den = rows[lam.parts]
+        out[lam] = {rho: Fraction(v, den) for rho, v in num.items()}
+    return out
 
 
 def basis_convert(f: SymFun, target: str, degree_bound: int | None = None) -> dict:
@@ -262,19 +275,39 @@ def _rho(parts: tuple) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _raisings(parts: tuple) -> tuple:
+    """((nu, w), ...) over the distinct partitions nu = mu raised at (i, j, t):
+    mu_i + t and mu_j - t for i < j and 1 <= t <= mu_j, sorted, with w the
+    sum of 2 (mu_i - mu_j + 2t) over the (i, j, t) that give nu.  Built once
+    per mu and shared by every lam of that size."""
+    out: dict = {}
+    for j in range(1, len(parts)):
+        for i in range(j):
+            for t in range(1, parts[j] + 1):
+                nu = list(parts)
+                nu[i] += t
+                nu[j] -= t
+                key = tuple(sorted((x for x in nu if x), reverse=True))
+                out[key] = out.get(key, 0) + 2 * (parts[i] - parts[j] + 2 * t)
+    return tuple(out.items())
+
+
+@lru_cache(maxsize=None)
 def _jack_integral(parts: tuple) -> tuple:
     """(c_lam, {mu: v_mu}) with c_lam = prod over boxes of a(s) + theta (l(s) + 1)
     and v_mu = c_lam [m_mu] P_lam, as integer coefficient tuples in theta,
-    lowest degree first.
+    lowest degree first, keyed by parts.
 
     c_lam P_lam is Knop-Sahi's integral Jack in theta, so every v_mu is a
     polynomial with integer coefficients, and Stanley's Laplace-Beltrami
     recurrence finds them in dominance order from the top: (rho_lam -
-    rho_mu) v_mu is 2 theta times the sum of (mu_i - mu_j + 2t) v_nu over
-    i < j, 1 <= t <= mu_j and nu = mu with mu_i + t and mu_j - t, sorted.
-    rho_lam - rho_mu is linear with theta-coefficient 2 (n(mu) - n(lam)) > 0
-    below lam, and each quotient is integral, so the division runs in
-    integers from the top coefficient down."""
+    rho_mu) v_mu is 2 theta times the sum of w v_nu over the raisings (nu,
+    w) of mu (`_raisings`).  rho_lam - rho_mu is linear with
+    theta-coefficient 2 (n(mu) - n(lam)) > 0 below lam, and each quotient
+    is integral, so the division runs in integers from the top coefficient
+    down.  Every mu below lam comes after lam in `partitions_of`, and a
+    later mu that is not below lam has no raising with a v_nu, so its sum is
+    0 and it is skipped."""
     lam = Partition(parts)
     cols = lam.transpose()
     c_lam = (1,)
@@ -284,31 +317,24 @@ def _jack_integral(parts: tuple) -> tuple:
         c_lam = tuple(a * x + b * y for x, y in zip(c_lam + (0,), (0,) + c_lam))
     r0, r1 = _rho(parts)
     v = {parts: c_lam}
-    # partitions_of lists every nu above mu in dominance before mu
-    for mu in partitions_of(lam.size):
-        if mu == lam or not lam.dominates(mu):
-            continue
+    ps = partitions_of(lam.size)
+    for mu in ps[ps.index(lam) + 1:]:
         m = mu.parts
-        # num = 2 theta sum (mu_i - mu_j + 2t) v_nu
+        # num = 2 theta sum of w v_nu
         num = [0] * (len(c_lam) + 1)
-        for j in range(1, len(m)):
-            for i in range(j):
-                for t in range(1, m[j] + 1):
-                    nu = list(m)
-                    nu[i] += t
-                    nu[j] -= t
-                    v_nu = v.get(tuple(sorted((x for x in nu if x), reverse=True)))
-                    if v_nu:
-                        w = 2 * (m[i] - m[j] + 2 * t)
-                        for k, x in enumerate(v_nu, start=1):
-                            num[k] += w * x
+        for nu, w in _raisings(m):
+            v_nu = v.get(nu)
+            if v_nu:
+                for k, x in enumerate(v_nu, start=1):
+                    num[k] += w * x
+        if not any(num):
+            continue
         s0, s1 = _rho(m)
         try:
             quot = _pquo(num, (r0 - s0, r1 - s1))
         except ArithmeticError as err:
             raise ArithmeticError(f"Jack recurrence division is not exact at {lam}, {mu}") from err
-        if any(quot):
-            v[m] = quot
+        v[m] = quot
     return c_lam, v
 
 
@@ -350,33 +376,37 @@ def jack_P(lam: Partition, theta=THETA) -> SymFun:
     orthogonal for the deformed inner product.
 
     At the formal parameter each power-sum coefficient comes straight from
-    the integral form: with t_mu,rho the m -> p table, L_rho the lcm of the
-    denominators of the t_mu,rho and v_mu from `_jack_integral`, the
-    coefficient on p_rho is N_rho / (L_rho c_lam), where N_rho = sum over mu
-    of (L_rho t_mu,rho) v_mu is summed in integers and reduced once.  A rho
-    that only m_lam's row reaches keeps its rational t_lam,rho, and a rho
-    whose N_rho cancels has no key, as `SymFun.from_m` of `jack_m_coeffs`
+    the integral form and the integer m -> p rows: with [p_rho] m_mu =
+    N_mu,rho / D_mu (`_m_to_p_rows`) and v_mu from `_jack_integral`, the
+    coefficient on p_rho is the sum over mu != lam of (N_mu,rho / D_mu)
+    v_mu / c_lam, plus N_lam,rho / D_lam.  `_combination` sums it in
+    integers over the lcm of the D_mu and reduces it once.  A rho that only
+    m_lam's row reaches keeps its rational N_lam,rho / D_lam, and a rho
+    whose sum cancels has no key, as `SymFun.from_m` of `jack_m_coeffs`
     gives.  Any other parameter takes that route."""
     if not (isinstance(theta, RatFunc) and theta == THETA):
         return SymFun.from_m(jack_m_coeffs(lam, theta))
     c_lam, v = _jack_integral(lam.parts)
-    table = _m_to_p_table(lam.size)
-    coeffs = dict(table[lam])
-    rows: dict = {}
+    rows = _m_to_p_rows(lam.size)
+    top, top_den = rows[lam.parts]
+    sums: dict = {}
     for mu, v_mu in v.items():
         if mu != lam.parts:
-            for rho, t in table[Partition(mu)].items():
-                rows.setdefault(rho, []).append((t, v_mu))
-    for rho, terms in rows.items():
-        t = coeffs.get(rho)
-        if t is not None:
-            terms.append((t, c_lam))
+            num, den = rows[mu]
+            for rho, n in num.items():
+                sums.setdefault(rho, []).append(((n, den), v_mu))
+    # the keys in the order that `SymFun.from_m` gives: m_lam's row first
+    coeffs = dict.fromkeys(top)
+    for rho, terms in sums.items():
+        n = top.get(rho)
+        if n is not None:
+            terms.append(((n, top_den), c_lam))
         total = _combination(terms, c_lam)
         if total is None:
             coeffs.pop(rho, None)
         else:
             coeffs[rho] = total
-    return SymFun(coeffs)
+    return SymFun({rho: Fraction(top[rho], top_den) if c is None else c for rho, c in coeffs.items()})
 
 
 # ---------------------------------------------------------------------------

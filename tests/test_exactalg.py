@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from superbc import exactalg
 from superbc.exactalg import (
     INCONSISTENT,
     THETA,
@@ -19,6 +20,7 @@ from superbc.exactalg import (
     _padd,
     _pgcd,
     _pmul,
+    _pneg,
     _pquo,
     _ptrim,
     add_products,
@@ -95,7 +97,7 @@ def test_ratfunc_fast_paths_match_the_general_constructor():
     shared = coprime = 0
     for _ in range(400):
         a, b = _random_ratfunc(rng), _random_ratfunc(rng)
-        if len(_pgcd(a.den, b.den)) > 1:
+        if len(_pgcd(a.den, b.den)[0]) > 1:
             shared += 1
         else:
             coprime += 1
@@ -165,11 +167,14 @@ def test_integer_gcd_matches_euclid_over_q():
     nontrivial = 0
     for a, b in cases:
         expected = _euclid_gcd(a, b)
-        got = _pgcd(a, b)
-        # the primitive integer form of the monic gcd over Q
+        got, a_cof, b_cof = _pgcd(a, b)
+        # the primitive integer form of the monic gcd over Q, lead positive,
+        # and the exact cofactors
         assert all(type(c) is int for c in got)
-        assert not got or gcd(*got) == 1
-        assert _monic(got) == expected == _monic(_pgcd(b, a))
+        assert not got or (gcd(*got) == 1 and got[-1] > 0)
+        assert _monic(got) == expected == _monic(_pgcd(b, a)[0])
+        if got:
+            assert _pmul(a_cof, got) == _ptrim(a) and _pmul(b_cof, got) == _ptrim(b)
         nontrivial += len(got) > 1
     assert nontrivial >= 300
 
@@ -263,13 +268,121 @@ def test_integer_gcd_splits_off_the_common_power_of_theta(kind):
         i = rng.randint(0, 4)
         j = rng.choice((i, 0, rng.randint(1, 4)))
         a, b = (zero,) * i + tuple(a), (zero,) * j + tuple(b)
-        got = _pgcd(a, b)
+        got, a_cof, b_cof = _pgcd(a, b)
         assert all(type(c) is int for c in got)
         assert gcd(*got) == 1
-        assert _monic(got) == _euclid_gcd(a, b) == _monic(_pgcd(b, a)), (a, b)
+        assert _monic(got) == _euclid_gcd(a, b) == _monic(_pgcd(b, a)[0]), (a, b)
+        assert _pmul(a_cof, got) == a and _pmul(b_cof, got) == b
         assert got[: min(i, j)] == (0,) * min(i, j) and got[min(i, j)]
         kinds["equal" if i == j else "one side" if not i or not j else "unequal"] += 1
     assert all(v > 50 for v in kinds.values()), kinds
+
+
+def _prs_gcd(a, b):
+    """The integer primitive gcd of two trimmed integer sequences, lead
+    positive, by a primitive pseudo-remainder sequence after the common
+    power of theta is split off: the oracle for the heuristic gcd."""
+
+    def primitive(cs):
+        g = gcd(*cs)
+        return [v // g for v in cs]
+
+    if len(a) < len(b):
+        a, b = b, a
+    if not a:
+        return ()
+    if len(b) == 1:
+        return (1,)
+    if not b:
+        p = primitive(a)
+        return tuple(p if p[-1] > 0 else [-v for v in p])
+    i = next(k for k, v in enumerate(a) if v)
+    j = next(k for k, v in enumerate(b) if v)
+    a, b = primitive(a[i:]), primitive(b[j:])
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r, n, lb = a, len(b), b[-1]
+        for k in range(len(r) - n, -1, -1):
+            c = r[k + n - 1]
+            if c:
+                g = gcd(lb, c)
+                s, c = lb // g, c // g
+                r = [s * v for v in r[:k]] + [s * v - c * w for v, w in zip(r[k:], b)]
+            r = r[: k + n - 1]
+        r = _ptrim(tuple(r))
+        a, b = b, primitive(r) if r else []
+    g = (1,) if b else tuple(a if a[-1] > 0 else [-v for v in a])
+    return (0,) * min(i, j) + g
+
+
+_digits = st.one_of(st.integers(min_value=-9, max_value=9), st.integers(min_value=-9999, max_value=9999))
+
+
+@st.composite
+def _int_polys(draw, max_degree=4):
+    """Integer sequences with a nonzero lead of either sign: constants,
+    powers of theta times a part prime to it, one- and four-digit
+    coefficients."""
+    low = draw(st.lists(_digits, max_size=max_degree))
+    lead = draw(_digits.filter(bool))
+    return (0,) * draw(st.integers(min_value=0, max_value=3)) + tuple(low) + (lead,)
+
+
+@given(_int_polys(), _int_polys(), _int_polys(max_degree=3))
+def test_heuristic_gcd_matches_the_pseudo_remainder_oracle(a, b, g):
+    a, b = _pmul(a, g), _pmul(b, g)
+    got, a_cof, b_cof = _pgcd(a, b)
+    expected = _prs_gcd(a, b)
+    assert got in (expected, _pneg(expected))
+    assert _pmul(a_cof, got) == a and _pmul(b_cof, got) == b
+    assert _pgcd(b, a) == (got, b_cof, a_cof)
+
+
+def _first_candidate(a, b):
+    """The candidate that the first xi gives for integer sequences a and b
+    prime to theta, each of degree >= 1: the primitive part of the balanced
+    xi-adic digits of gcd(a(xi), b(xi)) at xi = 2 min(|a|, |b|) + 2, with
+    |.| the largest absolute coefficient of the primitive part."""
+    a, b = [v // gcd(*a) for v in a], [v // gcd(*b) for v in b]
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    h = gcd(sum(v * xi**k for k, v in enumerate(a)), sum(v * xi**k for k, v in enumerate(b)))
+    digits = []
+    while h:
+        r = h % xi
+        r -= xi if 2 * r > xi else 0
+        digits.append(r)
+        h = (h - r) // xi
+    return tuple(v // gcd(*digits) for v in digits)
+
+
+def test_heuristic_gcd_retries_when_the_first_xi_fails(monkeypatch):
+    # search for a pair whose first candidate is not the gcd: the digits of
+    # gcd(a(xi), b(xi)) also carry a factor of the cofactors' resultant
+    rng = random.Random(41)
+    for _ in range(10000):
+        g = (rng.randint(1, 5), rng.choice((-1, 1)) * rng.randint(1, 5))
+        a = _pmul((rng.randint(1, 9), rng.randint(-9, 9), rng.choice((-1, 1)) * rng.randint(1, 9)), g)
+        b = _pmul((rng.randint(1, 9), rng.choice((-1, 1)) * rng.randint(1, 9)), g)
+        expected = _prs_gcd(a, b)
+        if _first_candidate(a, b) not in (expected, _pneg(expected)):
+            break
+    else:
+        pytest.fail("no pair whose first xi fails")
+    failures = []
+
+    def counted(x, y):
+        try:
+            return _pquo(x, y)
+        except ArithmeticError:
+            failures.append((x, y))
+            raise
+
+    monkeypatch.setattr(exactalg, "_pquo", counted)
+    got, a_cof, b_cof = _pgcd(a, b)
+    assert failures, (a, b)
+    assert got == expected and len(got) > 1
+    assert _pmul(a_cof, got) == a and _pmul(b_cof, got) == b
 
 
 def _assert_canonical(f):
@@ -280,12 +393,28 @@ def _assert_canonical(f):
     assert d[-1] > 0 and (not n or n[-1])
     if n:
         assert gcd(*n, *d) == 1
-        assert _euclid_gcd(n, d) == (1,)
+        assert _euclid_gcd(n, d) == _prs_gcd(n, d) == (1,)
     else:
         assert d == (1,)
     assert f.num == tuple(Fraction(c, d[-1]) for c in n)
     assert f.den == _monic(d)
     assert all(type(c) is Fraction for c in f.num + f.den)
+
+
+_int_ratfuncs = st.one_of(
+    st.just(RatFunc(0)),
+    ratfuncs(),
+    st.builds(RatFunc._from_ints, _int_polys(), _int_polys()),
+)
+
+
+@given(_int_ratfuncs, _int_ratfuncs)
+def test_ratfunc_round_trips(a, b):
+    assert (a + b) - b == a
+    if b:
+        assert (a * b) / b == a
+    for r in (a + b, a * b):
+        _assert_canonical(r)
 
 
 @given(ratfuncs(), scalars)

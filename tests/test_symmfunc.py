@@ -2,6 +2,7 @@ import json
 import os
 import time
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -10,6 +11,7 @@ from superbc.partitions import Partition, UsageError, partitions_of
 from superbc.symmfunc import (
     DegenerateParameter,
     SymFun,
+    _m_to_p_rows,
     _m_to_p_table,
     _p_to_m_expansion,
     basis_convert,
@@ -78,6 +80,7 @@ def test_m_to_p_table_is_built_by_back_substitution():
     # integer rows over one denominator each, with the power-sum expansions
     # built afresh, take about 0.03 s on a 2-core Xeon
     _m_to_p_table.cache_clear()
+    _m_to_p_rows.cache_clear()
     _p_to_m_expansion.cache_clear()
     start = time.perf_counter()
     table = _m_to_p_table(12)
@@ -142,6 +145,49 @@ def test_jack_monic_and_dominance_triangular():
             for mu, c in coeffs.items():
                 if c:
                     assert lam.dominates(mu)
+
+
+def _mn_character(lam: tuple, rho: tuple) -> int:
+    """chi^lam at the class rho by the Murnaghan-Nakayama rule on beta
+    numbers: removing a border strip of length r moves one bead b of the
+    beta set to an empty b - r >= 0, with sign (-1) to the number of beads
+    strictly between."""
+    if not rho:
+        return 1 if not lam else 0
+    r, n = rho[0], len(lam)
+    beta = {v + n - 1 - i for i, v in enumerate(lam)}
+    total = 0
+    for b in beta:
+        if b - r >= 0 and b - r not in beta:
+            rest = sorted(beta - {b} | {b - r}, reverse=True)
+            mu = tuple(v - (n - 1 - i) for i, v in enumerate(rest))
+            sign = (-1) ** sum(b - r < c < b for c in beta)
+            total += sign * _mn_character(tuple(v for v in mu if v), rho[1:])
+    return total
+
+
+def _z(rho: tuple) -> int:
+    out = 1
+    for v in set(rho):
+        m = rho.count(v)
+        out *= v**m * factorial(m)
+    return out
+
+
+def test_jack_at_theta_1_is_the_schur_function_of_the_characters():
+    # an oracle that shares nothing with the recurrence, the m -> p table or
+    # the gcd: s_lam = sum over rho of chi^lam(rho) / z_rho p_rho, with the
+    # characters by Murnaghan-Nakayama
+    assert _mn_character((2, 1), (1, 1, 1)) == 2 and _mn_character((2, 2), (2, 2)) == 2
+    for d in range(9):
+        for lam in partitions_of(d):
+            expected = {}
+            for rho in partitions_of(d):
+                chi = _mn_character(lam.parts, rho.parts)
+                if chi:
+                    expected[rho] = Fraction(chi, _z(rho.parts))
+            got = {rho: scalar_eval(c, 1) for rho, c in jack_P(lam, THETA).coeffs.items()}
+            assert {rho: c for rho, c in got.items() if c} == expected, lam
 
 
 def test_jack_degree_7_orthogonal_and_triangular():
