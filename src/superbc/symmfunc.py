@@ -71,9 +71,8 @@ class SymFun:
     @classmethod
     def from_m(cls, coeffs) -> "SymFun":
         """Build from monomial-basis coefficients."""
-        return cls(add_products(
-            (c, _m_to_p_table(lam.size)[lam]) for lam, c in cls(coeffs).coeffs.items()
-        ))
+        rows = [(c, _m_to_p_rows(lam.size)[lam.parts]) for lam, c in cls(coeffs).coeffs.items()]
+        return cls(add_products((c / den, num) for c, (num, den) in rows))
 
     def to_m(self) -> dict:
         """Monomial-basis coefficients."""
@@ -213,19 +212,6 @@ def _m_to_p_rows(d: int) -> dict:
         g = gcd(den, *row.values())
         rows[lam.parts] = ({rho: v // g for rho, v in row.items()}, den // g)
     return rows
-
-
-@lru_cache(maxsize=None)
-def _m_to_p_table(d: int) -> dict:
-    """The m -> p table of degree d as `Fraction`s, {lam: {rho: [p_rho]
-    m_lam}}, keyed in `partitions_of` order: the view of `_m_to_p_rows`
-    that `SymFun.from_m` reads."""
-    rows = _m_to_p_rows(d)
-    out = {}
-    for lam in partitions_of(d):
-        num, den = rows[lam.parts]
-        out[lam] = {rho: Fraction(v, den) for rho, v in num.items()}
-    return out
 
 
 def basis_convert(f: SymFun, target: str, degree_bound: int | None = None) -> dict:
@@ -372,21 +358,36 @@ def jack_m_coeffs(lam: Partition, theta=THETA) -> dict:
 
 
 def jack_P(lam: Partition, theta=THETA) -> SymFun:
-    """Monic Jack symmetric function: triangular below lam in dominance and
-    orthogonal for the deformed inner product.
+    """Monic Jack symmetric function at the formal parameter or a rational
+    one: triangular below lam in dominance and orthogonal for the deformed
+    inner product.
 
-    At the formal parameter each power-sum coefficient comes straight from
-    the integral form and the integer m -> p rows: with [p_rho] m_mu =
-    N_mu,rho / D_mu (`_m_to_p_rows`) and v_mu from `_jack_integral`, the
-    coefficient on p_rho is the sum over mu != lam of (N_mu,rho / D_mu)
-    v_mu / c_lam, plus N_lam,rho / D_lam.  `_combination` sums it in
-    integers over the lcm of the D_mu and reduces it once.  A rho that only
-    m_lam's row reaches keeps its rational N_lam,rho / D_lam, and a rho
-    whose sum cancels has no key, as `SymFun.from_m` of `jack_m_coeffs`
-    gives.  Any other parameter takes that route."""
-    if not (isinstance(theta, RatFunc) and theta == THETA):
-        return SymFun.from_m(jack_m_coeffs(lam, theta))
+    Each power-sum coefficient comes straight from the integral form and
+    the integer m -> p rows: with [p_rho] m_mu = N_mu,rho / D_mu
+    (`_m_to_p_rows`) and v_mu from `_jack_integral`, the coefficient on
+    p_rho is the sum over mu != lam of (N_mu,rho / D_mu) v_mu / c_lam, plus
+    N_lam,rho / D_lam.  `_combination` sums it in integers over the lcm of
+    the D_mu and reduces it once.  At a rational a/b each v_mu and c_lam
+    enters as the integer b^|lam| v(a/b), as none has degree above |lam|.
+    A rho that only m_lam's row reaches keeps its rational N_lam,rho /
+    D_lam, and a rho whose sum cancels has no key, as `SymFun.from_m` of
+    `jack_m_coeffs` gives.  A nonzero root of c_lam is a pole of [m_(1^n)]
+    P_lam = n! theta^n / c_lam, n = |lam| (Stanley 1989: [m_(1^n)] J_lam =
+    n!)."""
+    theta = as_scalar(theta)
+    if not theta:
+        raise DegenerateParameter("theta = 0 is a degenerate Jack parameter")
+    formal = isinstance(theta, RatFunc)
+    if formal and theta != THETA:
+        raise TypeError(f"a Jack parameter is THETA or a rational, not {theta}")
     c_lam, v = _jack_integral(lam.parts)
+    if not formal:
+        a, b = theta.as_integer_ratio()
+        scale = [a**k * b ** (lam.size - k) for k in range(lam.size + 1)]
+        v = {mu: (sum(x * w for x, w in zip(vm, scale)),) for mu, vm in v.items()}
+        c_lam = v[lam.parts]
+        if not c_lam[0]:
+            raise DegenerateParameter(f"P[{lam}] has a pole at theta = {theta}")
     rows = _m_to_p_rows(lam.size)
     top, top_den = rows[lam.parts]
     sums: dict = {}
@@ -405,7 +406,7 @@ def jack_P(lam: Partition, theta=THETA) -> SymFun:
         if total is None:
             coeffs.pop(rho, None)
         else:
-            coeffs[rho] = total
+            coeffs[rho] = total if formal else total.constant_value()
     return SymFun({rho: Fraction(top[rho], top_den) if c is None else c for rho, c in coeffs.items()})
 
 

@@ -11,6 +11,7 @@ import pytest
 
 import superbc.cli
 import superbc.interpbc
+import superbc.symmfunc
 from superbc.cli import _DESK_HOOK_PRODUCT_SIZE, _DESK_JACK_SIZE, _DESK_SIZE, _desk_scale, run
 from superbc.exactalg import SparsePoly, add_terms
 from superbc.interpbc import DESK_PQ, interpolation_J
@@ -330,6 +331,34 @@ def test_jack_prints_the_symfun_text(mu, theta, capsys):
     assert out == f"P[{mu}](theta={theta}) = {f.to_text()}\n"
     code, out = invoke(capsys, "jack", "--mu", mu, "--theta", theta, "--format", "structured")
     assert json.loads(out)["result"]["symfun"] == f.to_record()
+
+
+_RATIONAL_THETA_CALLS = [
+    (*argv, "--theta", theta, "--format", fmt)
+    for theta in ("1/2", "2", "-1/2")
+    for fmt in ("text", "structured")
+    for argv in (
+        ("jack", "--mu", "3,1"),
+        # c_(2,2) vanishes at theta = -1/2, a pole of P_(2,2)
+        ("jack", "--mu", "2,2"),
+        ("superjack", "--mu", "2,1", "--p", "1", "--q", "1"),
+        ("superjack", "--mu", "2,2", "--p", "2", "--q", "2"),
+    )
+]
+
+
+def test_jack_at_a_rational_theta_takes_no_monomial_route(monkeypatch, capsys):
+    # jack_P builds every rational theta from the integral form, so jack and
+    # superjack never call the monomial expansion or its conversion
+    before = [invoke(capsys, *argv) for argv in _RATIONAL_THETA_CALLS]
+    assert {code for code, _ in before} == {0, 2}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the monomial route was taken")
+
+    monkeypatch.setattr(superbc.symmfunc, "jack_m_coeffs", refuse)
+    monkeypatch.setattr(superbc.symmfunc.SymFun, "from_m", refuse)
+    assert [invoke(capsys, *argv) for argv in _RATIONAL_THETA_CALLS] == before
 
 
 def test_verify_structured_determinism():

@@ -11,8 +11,8 @@ from superbc.partitions import Partition, UsageError, partitions_of
 from superbc.symmfunc import (
     DegenerateParameter,
     SymFun,
+    _jack_integral,
     _m_to_p_rows,
-    _m_to_p_table,
     _p_to_m_expansion,
     basis_convert,
     clear_jack_cache,
@@ -61,31 +61,30 @@ def test_basis_convert_round_trip_degree_8():
             assert g.to_m() == {lam: Fraction(1)}
 
 
-def test_m_to_p_table_inverts_the_p_to_m_matrix():
+def test_m_to_p_rows_invert_the_p_to_m_matrix():
     # sum over rho of [p_rho] m_lam * [m_nu] p_rho is the identity
     for d in range(11):
-        table = _m_to_p_table(d)
-        assert list(table) == list(partitions_of(d))
-        for lam, row in table.items():
+        rows = _m_to_p_rows(d)
+        assert list(rows) == [lam.parts for lam in partitions_of(d)]
+        for lam, (num, den) in rows.items():
             product: dict = {}
-            for rho, t in row.items():
+            for rho, n in num.items():
                 for nu, c in _p_to_m_expansion(rho.parts).items():
-                    product[nu] = product.get(nu, 0) + t * c
-            assert {nu: c for nu, c in product.items() if c} == {lam: 1}
+                    product[nu] = product.get(nu, 0) + Fraction(n, den) * c
+            assert {nu: c for nu, c in product.items() if c} == {Partition(lam): 1}
 
 
-def test_m_to_p_table_is_built_by_back_substitution():
+def test_m_to_p_rows_are_built_by_back_substitution():
     # one exact solve per partition took about 3.4 s at degree 12 (77
     # partitions), and back-substitution in Fractions about 0.13 s;
     # integer rows over one denominator each, with the power-sum expansions
     # built afresh, take about 0.03 s on a 2-core Xeon
-    _m_to_p_table.cache_clear()
     _m_to_p_rows.cache_clear()
     _p_to_m_expansion.cache_clear()
     start = time.perf_counter()
-    table = _m_to_p_table(12)
+    rows = _m_to_p_rows(12)
     elapsed = time.perf_counter() - start
-    assert len(table) == 77
+    assert len(rows) == 77
     assert elapsed < 2.0
 
 
@@ -126,6 +125,51 @@ def test_generic_jack_direct_route_is_from_m_of_the_m_coefficients():
                 else:
                     assert g == c
             assert str(got) == str(expected)
+
+
+_ORACLE_THETAS = [Fraction(v) for v in ("1", "1/2", "2", "3/5", "7/3", "-1/2", "-2/3", "-1", "-3/2", "-3")]
+
+
+def _outcome(build):
+    try:
+        return build(), None
+    except DegenerateParameter as err:
+        return None, str(err)
+
+
+@pytest.mark.parametrize("theta0", _ORACLE_THETAS, ids=str)
+def test_jack_at_a_rational_theta_is_from_m_of_the_m_coefficients(theta0):
+    # at a rational theta jack_P scales the integral form to integers, and
+    # calls a root of c_lam a pole; the oracle is the monomial expansion at
+    # theta, which substitutes into the formal coefficients where c_lam
+    # vanishes, converted by SymFun.from_m: the same coefficients, all
+    # Fractions, or the same degenerate parameter
+    for d in range(8):
+        for lam in partitions_of(d):
+            got, got_error = _outcome(lambda: jack_P(lam, theta0))
+            expected, expected_error = _outcome(lambda: SymFun.from_m(jack_m_coeffs(lam, theta0)))
+            assert got_error == expected_error, lam
+            if got is not None:
+                assert got.coeffs == expected.coeffs, lam
+                assert all(type(c) is Fraction for c in got.coeffs.values()), lam
+
+
+def test_the_integral_form_bounds_that_a_rational_theta_relies_on():
+    # jack_P at a rational a/b takes b^|lam| v(a/b) for each v_mu and for
+    # c_lam, so a term of degree above |lam| would be dropped without a
+    # trace; and it calls every nonzero root of c_lam a pole, since the
+    # coefficient n! theta^n / c_lam on m_(1^n) has one there
+    for d in range(13):
+        for lam in partitions_of(d):
+            c_lam, v = _jack_integral(lam.parts)
+            assert len(c_lam) == d + 1, lam
+            assert all(len(v_mu) <= d + 1 for v_mu in v.values()), lam
+            assert v[(1,) * d] == (0,) * d + (factorial(d),), lam
+
+
+def test_jack_takes_no_rational_function_but_theta():
+    with pytest.raises(TypeError):
+        jack_P(P(2), 2 * THETA)
 
 
 def test_jack_orthogonality_small():
@@ -289,15 +333,17 @@ def test_degenerate_parameter():
 
 
 def test_jack_cache_round_trip(tmp_path):
+    # jack_P writes no cache entry: jack_m_coeffs fills the cache
     path = tmp_path / "jack.json"
-    before = basis_convert(jack_P(P(2, 1), ONE), "m")
-    generic = basis_convert(jack_P(P(2), THETA), "m")
+    clear_jack_cache()
+    before = jack_m_coeffs(P(2, 1), ONE)
+    generic = jack_m_coeffs(P(2), THETA)
     save_jack_cache(path)
     clear_jack_cache()
     n = load_jack_cache(path)
-    assert n > 0
-    assert basis_convert(jack_P(P(2, 1), ONE), "m") == before
-    assert basis_convert(jack_P(P(2), THETA), "m") == generic
+    assert n == 2
+    assert jack_m_coeffs(P(2, 1), ONE) == before
+    assert jack_m_coeffs(P(2), THETA) == generic
 
 
 _BAD_CACHE_FILES = {
@@ -338,7 +384,7 @@ def test_jack_cache_concurrent_reads():
     clear_jack_cache()
     lam = P(3, 2)
     with ThreadPoolExecutor(max_workers=4) as pool:
-        results = list(pool.map(lambda _: jack_P(lam, ONE), range(8)))
+        results = list(pool.map(lambda _: jack_m_coeffs(lam, ONE), range(8)))
     assert all(r == results[0] for r in results)
 
 
@@ -350,7 +396,7 @@ def test_symfun_sums_duplicate_keys():
 
 def test_failed_cache_save_leaves_the_old_file(tmp_path, monkeypatch):
     path = tmp_path / "jack.json"
-    jack_P(P(2), ONE)
+    jack_m_coeffs(P(2), ONE)
     save_jack_cache(path)
     before = path.read_bytes()
 
