@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -36,7 +37,7 @@ from superbc.superpoly import super_jack
 # load_jack_cache is unused here; bench/tests/test_harness.py asserts the tracer rebinds it
 from superbc.symmfunc import jack_P, load_jack_cache
 
-_RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
 
 
 def _rational(text: str) -> Fraction:
@@ -63,12 +64,14 @@ def _integer(least: int):
     kind = "positive" if least else "nonnegative"
 
     def parse(text: str) -> int:
-        try:
-            v = int(text)
-            if v >= least:
-                return v
-        except ValueError:
-            pass
+        # int() also reads the digits of other scripts
+        if text.isascii():
+            try:
+                v = int(text)
+                if v >= least:
+                    return v
+            except ValueError:
+                pass
         raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
 
     return parse
@@ -79,6 +82,8 @@ _positive, _nonnegative = _integer(1), _integer(0)
 
 def _partition(text: str) -> Partition:
     try:
+        if not (text.isascii() or text.strip() == "∅"):
+            raise ValueError("parts are written in ASCII digits")
         return Partition.parse(text)
     except ValueError as err:
         raise argparse.ArgumentTypeError(f"bad partition {text!r}: {err}")
@@ -89,12 +94,15 @@ def _partition(text: str) -> Partition:
 # at the costliest (p, q) with the same max(p, q) <= DESK_PQ (indexed by
 # max(p, q) - 1); the next size took 6-10 s, and each size after it about
 # twice as long again or more.  superjack builds theta = 1 by the branching
-# rule and any other theta through the generic-theta Jack expansion, so each
-# route has its row.  The branching rule's polynomial passes (superjack at
-# theta = 1 and interp's closed form) run on the dominant exponent vectors
-# only, and the full term map is their orbit expansion under the separate
-# symmetry in the x's and in the y's.  The theta = 1 row keeps the sizes
-# timed when it too took the Jack route, and runs them far inside 5 s.  kmu
+# rule and any other theta as phi_theta of the generic-theta Jack expansion,
+# so each route has its row.  Both polynomial routes (the branching rule's
+# passes, for superjack at theta = 1 and interp's closed form, and
+# phi_theta's integer rows) run on the dominant exponent vectors only, and
+# the full term map is their orbit expansion under the separate symmetry in
+# the x's and in the y's.  The theta = 1 row keeps the sizes timed when it
+# too took the Jack route, and the theta != 1 row those timed when
+# phi_theta multiplied full power sums in Fractions; both now run far
+# inside 5 s, and the theta != 1 row stays until it is re-timed.  kmu
 # with --p and --q does expand's work.  Without them it is the hook product
 # alone, at most |mu|!, which is fast at any size; its bound is the largest
 # size whose factorial Python still prints under its default limit of 4300
@@ -353,7 +361,19 @@ def run(argv=None) -> int:
 
 
 def main(argv=None) -> None:
-    sys.exit(run(argv))
+    try:
+        try:
+            code = run(argv)
+        finally:
+            # flush here, so that a closed stdout raises inside this try
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: what is left goes to devnull, so the
+        # flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("internal error: output closed", file=sys.stderr)
+        code = 4
+    sys.exit(code)
 
 
 if __name__ == "__main__":

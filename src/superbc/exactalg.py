@@ -625,16 +625,6 @@ class SparsePoly:
         exps = tuple(1 if v == name else 0 for v in vars_t)
         return cls._raw(vars_t, {exps: _ONE})
 
-    @classmethod
-    def linear_combination(cls, variables: Sequence[str], pairs) -> "SparsePoly":
-        """Sum of c * f over (f, c) pairs of polynomials in `variables` and
-        exact scalars."""
-        out = cls.zero(variables)
-        for f, c in pairs:
-            out._check_same(f)
-            add_terms(((e, v * c) for e, v in f.terms.items()), out.terms)
-        return out
-
     def _check_same(self, other: "SparsePoly") -> None:
         if self.vars != other.vars:
             raise VariableMismatch(f"variable lists differ: {self.vars!r} vs {other.vars!r}")

@@ -10,9 +10,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from superbc.exactalg import SparsePoly, VariableMismatch, add_terms, as_scalar
-from superbc.partitions import HookParams, Partition, sort_key
-from superbc.symmfunc import SymFun, jack_P
+from superbc.exactalg import SparsePoly, VariableMismatch, add_products, add_terms, as_scalar
+from superbc.partitions import HookParams, Partition
+from superbc.symmfunc import SymFun, _p_step, jack_P
 
 
 class ZeroTheta(ZeroDivisionError):
@@ -36,37 +36,45 @@ def h_variables(hp: HookParams) -> tuple:
     )
 
 
-def _signed_power_sum(variables: tuple, n_x: int, r: int, ycoeff) -> SparsePoly:
-    """Sum of v^r over the first n_x variables plus ycoeff times the sum of
+def _signed_power_sum(variables: tuple, n_x: int, r: int) -> SparsePoly:
+    """Sum of v^r over the first n_x variables minus (-1)^r times the sum of
     v^r over the rest."""
     if r < 1:
         raise ValueError("power sums are indexed by positive integers")
     n = len(variables)
     terms = {}
     for i in range(n):
-        e = [0] * n
-        e[i] = r
-        terms[tuple(e)] = Fraction(1) if i < n_x else ycoeff
+        terms[(0,) * i + (r,) + (0,) * (n - i - 1)] = Fraction(1) if i < n_x else -((-1) ** r)
     return SparsePoly(variables, terms)
 
 
 def power_sum(r: int, hp: HookParams) -> SparsePoly:
     """Signed two-family power sum sum x_i^r - (-1)^r sum y_j^r."""
-    return _signed_power_sum(a_variables(hp), hp.p, r, -((-1) ** r))
+    return _signed_power_sum(a_variables(hp), hp.p, r)
 
 
 def power_sum_doubled(r: int, hp: HookParams) -> SparsePoly:
     """The same signed power sum on the doubled list of 2p + 2q variables."""
-    return _signed_power_sum(h_variables(hp), 2 * hp.p, r, -((-1) ** r))
+    return _signed_power_sum(h_variables(hp), 2 * hp.p, r)
 
 
 @lru_cache(maxsize=None)
-def _phi_product(parts: tuple, hp: HookParams, theta) -> SparsePoly:
-    if not parts:
-        return SparsePoly.constant(a_variables(hp), 1)
-    # image of p_r: sum x_i^r - (1/theta) sum y_j^r
-    head = _signed_power_sum(a_variables(hp), hp.p, parts[0], as_scalar(-1) / theta)
-    return head * _phi_product(parts[1:], hp, theta)
+def _phi_terms(parts: tuple, p: int, q: int) -> tuple:
+    """Row k (k = 0..len(parts)) maps each dominant vector to its integer
+    coefficient of t^k in p_parts under p_r -> sum x_i^r + t sum y_j^r (memo
+    rows, read-only).  Each part r steps m_mu by `_p_step` in the x's, or in
+    the y's and raises k; in n variables m_mu is x^mu there, 0 past n parts."""
+    acc = {((), (), 0): 1}
+    for r in parts:
+        pairs = []
+        for (mu, nu, k), c in acc.items():
+            pairs.extend(((m, nu, k), c * a) for m, a in _p_step(r, mu) if len(m) <= p)
+            pairs.extend(((mu, n, k + 1), c * a) for n, a in _p_step(r, nu) if len(n) <= q)
+        acc = add_terms(pairs)
+    rows = tuple({} for _ in range(len(parts) + 1))
+    for (mu, nu, k), c in acc.items():
+        rows[k][mu + (0,) * (p - len(mu)) + nu + (0,) * (q - len(nu))] = c
+    return rows
 
 
 def phi_theta(f: SymFun, hp: HookParams, theta) -> SparsePoly:
@@ -74,11 +82,13 @@ def phi_theta(f: SymFun, hp: HookParams, theta) -> SparsePoly:
     theta = as_scalar(theta)
     if not theta:
         raise ZeroTheta("theta must be nonzero")
-    return SparsePoly.linear_combination(
-        a_variables(hp),
-        ((_phi_product(lam.parts, hp, theta), c)
-         for lam, c in sorted(f.coeffs.items(), key=lambda kv: sort_key(kv[0]))),
+    t = -1 / theta
+    dominant = add_products(
+        (c * t**k if k else c, row)  # c itself at k = 0: THETA**0 is a RatFunc
+        for lam, c in f.coeffs.items()
+        for k, row in enumerate(_phi_terms(lam.parts, hp.p, hp.q))
     )
+    return SparsePoly._raw(a_variables(hp), _orbit_expansion(dominant.items(), hp.p))
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +257,8 @@ def factorial_super_schur(lam: Partition, hp: HookParams) -> dict:
 @lru_cache(maxsize=None)
 def super_jack(lam: Partition, hp: HookParams, theta) -> SparsePoly:
     """Image of the Jack symmetric function under phi_theta; identically zero
-    exactly when lam is not a (p, q)-hook partition.  At theta = 1 it is
-    built by the branching rule, without the Jack expansion."""
+    exactly when lam is not a (p, q)-hook partition: at theta = 1 built by
+    the branching rule, otherwise by phi_theta on the dominant vectors."""
     theta = as_scalar(theta)
     if isinstance(theta, Fraction) and theta == 1:
         return super_schur(lam, hp)

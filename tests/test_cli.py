@@ -428,3 +428,50 @@ def test_version_flag():
     out = spawn("--version")
     assert out.returncode == 0
     assert out.stdout.strip().startswith("superbc ")
+
+
+def test_a_closed_stdout_exits_4_with_one_line():
+    # a reader that stops early (`| head -2`) closes the pipe: a traceback
+    # with exit 1 would read as a failed verification
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "superbc", "hooks", "--p", "3", "--q", "2", "--size", "6", "--format", "structured"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write)
+    assert out.returncode == 4
+    assert out.stderr == "internal error: output closed\n"
+
+
+_NON_ASCII_DIGITS = [
+    ("hooks", "--p", "٣", "--q", "2", "--size", "1"),
+    ("hooks", "--p", "3", "--q", "２", "--size", "1"),
+    ("hooks", "--p", "1", "--q", "1", "--max-size", "٢"),
+    ("superjack", "--mu", "٣,1", "--p", "2", "--q", "1"),
+    ("grid", "--lambda", "２", "--p", "1", "--q", "1"),
+    ("superjack", "--mu", "2", "--p", "1", "--q", "1", "--theta", "١/2"),
+    ("jack", "--mu", "2", "--theta", "-٢"),
+    ("jack", "--mu", "2", "--theta", "-٣/2"),
+]
+
+
+@pytest.mark.parametrize("argv", _NON_ASCII_DIGITS, ids=" ".join)
+def test_non_ascii_digits_are_usage_errors(argv, capsys):
+    # int() and a Unicode \d read every script's digits, so `--p ٣` ran as
+    # p = 3; only ASCII digits are numbers on the command line
+    with pytest.raises(SystemExit) as exc:
+        run(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith(f"superbc {argv[0]}: error: argument ")
+
+
+def test_ascii_digits_and_the_empty_partition_still_parse(capsys):
+    assert invoke(capsys, "superjack", "--mu", "∅", "--p", "1", "--q", "1", "--theta", "-1/2") == (0, "1\n")
+    assert invoke(capsys, "hooks", "--p", "+1", "--q", " 1", "--size", "01")[0] == 0

@@ -31,11 +31,12 @@ from superbc.superpoly import (
     a_variables,
     factorial_super_schur,
     is_even_supersymmetric,
-    phi_theta,
     squared_substitution,
     super_jack,
 )
 from superbc.symmfunc import jack_P
+
+from .oracles import phi_product
 
 P = Partition.of
 PAIRS = [HookParams(1, 1), HookParams(2, 1), HookParams(1, 2), HookParams(2, 2)]
@@ -262,7 +263,8 @@ def test_closed_form_j_is_the_windowed_vanishing_solve():
     from superbc.interpbc import _sp_squared, _vanishing_system
 
     def combination(pairs, hp):
-        return SparsePoly.linear_combination(a_variables(hp), ((_sp_squared(nu, hp), c) for nu, c in pairs))
+        terms = add_terms((e, v * c) for nu, c in pairs for e, v in _sp_squared(nu, hp).terms.items())
+        return SparsePoly(a_variables(hp), terms)
 
     checked = 0
     for hp, max_size in [(hp, 5) for hp in PAIRS] + [(HookParams(3, 3), 4)]:
@@ -493,13 +495,14 @@ def test_stability_drops_one_variable_of_each_family():
 
 
 def test_grid_kernel_matches_evaluate():
-    # the expected values come from the theta = 1 Jack expansion through
-    # phi_theta, not from _sp_squared, which shares the kernel's branching rule
+    # the expected values come from the theta = 1 Jack expansion through full
+    # power-sum products, not from _sp_squared, which shares the kernel's
+    # branching rule
     from superbc.interpbc import _basis_values, _grid_orbit
 
     for hp in PAIRS + [HookParams(3, 3)]:
         nus = enumerate_hooks(hp, 4, "upto")
-        basis = [squared_substitution(phi_theta(jack_P(nu, 1), hp, 1), hp) for nu in nus]
+        basis = [squared_substitution(phi_product(jack_P(nu, 1), hp, 1), hp) for nu in nus]
         for lam in enumerate_hooks(hp, 6, "upto"):
             point = grid_point(lam, hp).coords
             expected = [poly.evaluate(point) for poly in basis]

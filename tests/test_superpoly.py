@@ -24,8 +24,9 @@ from superbc.superpoly import (
     super_jack,
     super_schur,
 )
-from superbc.symmfunc import SymFun, jack_P
+from superbc.symmfunc import DegenerateParameter, SymFun, jack_P
 
+from .oracles import phi_product
 from .strategies import scalars, sparse_polys
 
 P = Partition.of
@@ -51,6 +52,28 @@ def test_phi_theta_examples():
 
     with pytest.raises(ZeroTheta):
         phi_theta(SymFun.p(P(1)), HP11, 0)
+
+
+def test_phi_theta_is_the_full_product():
+    # phi_theta sums integer rows on the dominant vectors and expands their
+    # orbits; the oracle multiplies full signed power sums term by term
+    thetas = [Fraction(1, 2), Fraction(2), Fraction(-1, 2), Fraction(7, 3), Fraction(-3, 2)]
+    desks = [(HP11, 6), (HP21, 5), (HookParams(1, 2), 5), (HookParams(2, 2), 5), (HookParams(3, 3), 4)]
+    cases = [(theta, hp, top) for theta in thetas for hp, top in desks]
+    cases += [(THETA, hp, 4) for hp in (HP11, HP21, HookParams(2, 2))]
+    checked = 0
+    for theta, hp, top in cases:
+        for lam in enumerate_hooks(hp, top, "upto"):
+            try:
+                f = jack_P(lam, theta)
+            except DegenerateParameter:
+                continue
+            got, expected = phi_theta(f, hp, theta), phi_product(f, hp, theta)
+            assert got.vars == expected.vars and got.terms == expected.terms, (theta, hp, lam)
+            assert {e: type(c) for e, c in got.terms.items()} == {e: type(c) for e, c in expected.terms.items()}
+            assert got.to_text() == expected.to_text(), (theta, hp, lam)
+            checked += 1
+    assert checked == 470
 
 
 def test_super_jack_examples():
@@ -182,15 +205,16 @@ def test_super_jack_at_one_is_the_hook_schur_polynomial():
 
 
 def test_super_jack_at_one_matches_the_jack_route():
-    # super_jack builds theta = 1 by the branching rule; every other theta
-    # still goes through the Jack expansion and phi_theta, which stays the
-    # oracle here, on non-hooks (the zero polynomial) as well as hooks
+    # super_jack builds theta = 1 by the branching rule; the oracle is the
+    # Jack expansion through full power-sum products, which shares neither
+    # the branching rule nor the orbit expansion, on non-hooks (the zero
+    # polynomial) as well as hooks
     cases = [((1, 1), 5), ((2, 1), 5), ((1, 2), 5), ((2, 2), 5), ((3, 3), 4)]
     for (p, q), top in cases:
         hp = HookParams(p, q)
         for d in range(top + 1):
             for lam in partitions_of(d):
-                expected = phi_theta(jack_P(lam, ONE), hp, ONE)
+                expected = phi_product(jack_P(lam, ONE), hp, ONE)
                 got = super_jack(lam, hp, ONE)
                 assert got == expected and got.vars == expected.vars, (lam, hp)
                 assert all(type(c) is Fraction for c in got.terms.values()), (lam, hp)
@@ -271,15 +295,15 @@ def test_the_dominant_pass_is_the_full_pass_on_dominant_vectors():
     # the restricted theta = 1 pass keeps the coefficient of the full
     # polynomial on every exponent vector that does not increase within the
     # x's and within the y's, and nothing else.  The full polynomial comes
-    # from the Jack route, phi_1(P_nu(1)): super_schur is the orbit
-    # expansion of this very pass, so it would compare the pass with itself
+    # from the Jack route, phi_1(P_nu(1)) by full power-sum products:
+    # super_schur and phi_theta both expand orbits of dominant terms
     checked = 0
     for p in (1, 2, 3):
         for q in (1, 2, 3):
             hp = HookParams(p, q)
             for nu in enumerate_hooks(hp, 5 if max(p, q) == 3 else 6, "upto"):
                 expected = {
-                    e: c for e, c in phi_theta(jack_P(nu, ONE), hp, ONE).terms.items()
+                    e: c for e, c in phi_product(jack_P(nu, ONE), hp, ONE).terms.items()
                     if list(e[:p]) == sorted(e[:p], reverse=True) and list(e[p:]) == sorted(e[p:], reverse=True)
                 }
                 got = dominant_terms(nu, hp)
