@@ -13,7 +13,6 @@ e.g. a closed form of J_mu that does not vanish on the grid).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -347,6 +346,8 @@ def run(argv=None) -> int:
         print(f"internal error: {err}", file=sys.stderr)
         return 4
     if args.format == "structured":
+        import json  # the text format, and every call that fails, need none
+
         payload = {
             "tool": "superbc",
             "version": superbc.__version__,
@@ -367,11 +368,12 @@ def main(argv=None) -> None:
         finally:
             # flush here, so that a closed stdout raises inside this try
             sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout: what is left goes to devnull, so the
-        # flush at exit cannot raise again
+    except OSError as err:
+        # the reader closed stdout, or writing it failed (a full disk): what
+        # is left goes to devnull, so the flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("internal error: output closed", file=sys.stderr)
+        reason = "output closed" if isinstance(err, BrokenPipeError) else err
+        print(f"internal error: {reason}", file=sys.stderr)
         code = 4
     sys.exit(code)
 

@@ -9,9 +9,10 @@ is closed and exact.
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Mapping, NamedTuple, Sequence, Union
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -461,7 +462,7 @@ def _product(a: tuple, b: tuple, c: tuple, d: tuple) -> RatFunc:
 
 THETA = RatFunc.variable()
 
-Scalar = Union[Fraction, RatFunc]
+Scalar = Fraction | RatFunc
 
 
 def as_scalar(v) -> Scalar:
@@ -827,10 +828,8 @@ INCONSISTENT = "inconsistent"
 UNDERDETERMINED = "underdetermined"
 
 
-class LinearSolveOutcome(NamedTuple):
-    tag: str
-    solution: tuple | None = None
-    nullspace: tuple | None = None
+class LinearSolveOutcome(namedtuple("LinearSolveOutcome", "tag solution nullspace", defaults=(None, None))):
+    __slots__ = ()
 
 
 def solve_exact(matrix: Sequence[Sequence], rhs: Sequence, ncols: int | None = None) -> LinearSolveOutcome:

@@ -4,14 +4,12 @@ the exact verification suites."""
 
 from __future__ import annotations
 
-import random
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
 from operator import mul
-from typing import NamedTuple
 
 from superbc.exactalg import SparsePoly, UNIQUE, add_terms, as_rational, as_scalar, solve_exact
 from superbc.partitions import (
@@ -136,7 +134,11 @@ def grid_point(lam: Partition, hp: HookParams) -> GridPoint:
     return GridPoint(hp, "a", tuple(2 * n + r for n, r in zip(nat, rho.coords)))
 
 
-class InterpolationResult(NamedTuple):
+class InterpolationResult(namedtuple(
+    "InterpolationResult",
+    "mu hp poly mode measured_top_coefficient normalization_value"
+    " degenerate_normalization extended_grid_used coefficients",
+)):
     """J_mu with what its construction reports.  `mode` is "top" exactly
     when `degenerate_normalization` holds.  `measured_top_coefficient`
     holds mu's coefficient in the squared basis, (-1/4)^{|mu|}: the
@@ -144,15 +146,7 @@ class InterpolationResult(NamedTuple):
     y^2) and scales it by that value.  The name is kept because it is a
     key of the CLI's structured output."""
 
-    mu: Partition
-    hp: HookParams
-    poly: SparsePoly
-    mode: str
-    measured_top_coefficient: Fraction
-    normalization_value: Fraction
-    degenerate_normalization: bool
-    extended_grid_used: bool
-    coefficients: tuple
+    __slots__ = ()
 
 
 def _sp_squared(nu: Partition, hp: HookParams) -> SparsePoly:
@@ -413,13 +407,8 @@ def k_mu(mu: Partition) -> Fraction:
     return Fraction(-1) ** mu.size * c_factor(mu, 1, -1, "minus")
 
 
-class ShimuraImage(NamedTuple):
-    mu: Partition
-    hp: HookParams
-    poly: SparsePoly
-    mode: str
-    k_value: Fraction
-    interpolation: InterpolationResult
+class ShimuraImage(namedtuple("ShimuraImage", "mu hp poly mode k_value interpolation")):
+    __slots__ = ()
 
 
 def shimura_image(mu: Partition, hp: HookParams) -> ShimuraImage:
@@ -429,19 +418,13 @@ def shimura_image(mu: Partition, hp: HookParams) -> ShimuraImage:
     return ShimuraImage(mu, hp, result.poly * k, result.mode, k, result)
 
 
-class ExpansionEntry(NamedTuple):
-    nu: Partition
-    coefficient: Fraction
-    hook_product: Fraction
-    direct: bool
-    reciprocal: bool
+class ExpansionEntry(namedtuple("ExpansionEntry", "nu coefficient hook_product direct reciprocal")):
+    __slots__ = ()
 
 
-class ExpansionReport(NamedTuple):
-    m: int
-    hp: HookParams
-    entries: tuple
-    orientation: str  # direct | reciprocal | both | mixed
+class ExpansionReport(namedtuple("ExpansionReport", "m hp entries orientation")):
+    # orientation: direct | reciprocal | both | mixed
+    __slots__ = ()
 
 
 def _power_of_squares(m: int, hp: HookParams) -> dict:
@@ -506,14 +489,8 @@ def derive_k(mu: Partition, hp: HookParams) -> Fraction:
     return (-2) ** mu.size * _expansion_coefficient(mu, hp)
 
 
-class ConstantsRow(NamedTuple):
-    mu: Partition
-    hp: HookParams
-    mode: str
-    expansion_coefficient: Fraction
-    k_derived: Fraction
-    k_hook: Fraction
-    matches_k_hook: bool
+class ConstantsRow(namedtuple("ConstantsRow", "mu hp mode expansion_coefficient k_derived k_hook matches_k_hook")):
+    __slots__ = ()
 
 
 def constants_ledger(hp: HookParams, max_size: int) -> tuple:
@@ -540,13 +517,8 @@ def constants_ledger(hp: HookParams, max_size: int) -> tuple:
     return tuple(rows)
 
 
-class DiagonalRow(NamedTuple):
-    mu: Partition
-    hp: HookParams
-    value: Fraction
-    target: Fraction
-    plain_index_product: Fraction
-    degenerate: bool
+class DiagonalRow(namedtuple("DiagonalRow", "mu hp value target plain_index_product degenerate")):
+    __slots__ = ()
 
 
 def diagonal_values(hp: HookParams, max_size: int) -> tuple:
@@ -593,15 +565,9 @@ class VerifySpec(_ValidatedRecord, namedtuple("VerifySpec", "prop hp max_size wi
         return super().__new__(cls, prop, hp, max_size, window)
 
 
-class VerifyRecord(NamedTuple):
-    prop: str
-    p: int
-    q: int
-    mu: Partition | None
-    lam: Partition | None
-    mode: str | None
-    status: str  # pass | fail | degenerate
-    value: str | None
+class VerifyRecord(namedtuple("VerifyRecord", "prop p q mu lam mode status value")):
+    # status: pass | fail | degenerate; mu, lam, mode and value may be None
+    __slots__ = ()
 
     def record(self) -> dict:
         return {
@@ -629,8 +595,8 @@ class VerifyRecord(NamedTuple):
         return " ".join(bits)
 
 
-class VerifyReport(NamedTuple):
-    records: tuple
+class VerifyReport(namedtuple("VerifyReport", "records")):
+    __slots__ = ()
 
     @property
     def status(self) -> str:
@@ -756,6 +722,8 @@ def _verify_res_eval(hp: HookParams) -> list:
             VerifyRecord("res-eval", hp.p, hp.q, None, None, f"p{r}-image",
                          "pass" if ok else "fail", None if ok else image.to_text())
         )
+    import random  # only this suite draws points: keep it out of `import superbc`
+
     rng = random.Random(_RES_EVAL_SEED)
     for r in (2, 4, 6):
         f, g = images[r]

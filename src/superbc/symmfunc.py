@@ -8,7 +8,6 @@ is reached through exact transition tables built once per degree.
 
 from __future__ import annotations
 
-import json
 import os
 from collections import Counter
 from fractions import Fraction
@@ -442,6 +441,8 @@ def _scalar_from_json(obj):
 
 def save_jack_cache(path) -> None:
     """Persist cached expansions with rational or generic parameter."""
+    import json  # only the two cache functions read or write JSON
+
     entries = []
     with _jack_lock:
         items = sorted(_jack_cache.items(), key=lambda kv: (sort_key(Partition(kv[0][0])), str(kv[0][1])))
@@ -479,6 +480,8 @@ def load_jack_cache(path) -> int:
     merged, so a file that fails to parse, or is valid JSON of another shape
     (a number where the format has a string, for one), raises ValueError
     and leaves the in-memory cache untouched."""
+    import json
+
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     loaded = []

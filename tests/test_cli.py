@@ -233,9 +233,18 @@ def test_readme_desk_bound_table_matches_the_cli():
 
 
 def test_import_loads_no_dataclasses_or_inspect():
-    # -S keeps site and .pth hooks from importing either on their own
+    # every call pays for what the import loads: a module that only some
+    # calls use is imported where it is used.  -S keeps site and .pth hooks
+    # from importing any of these on their own.
     src = Path(__file__).resolve().parents[1] / "src"
-    probe = "import sys, superbc.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    probe = (
+        "import sys\n"
+        "unused = {'json', 'typing', 'random', 'dataclasses', 'inspect'}\n"
+        "import superbc\n"
+        "print(sorted((unused | {'argparse'}) & set(sys.modules)))\n"
+        "import superbc.cli\n"
+        "print(sorted(unused & set(sys.modules)))\n"
+    )
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe],
         capture_output=True,
@@ -243,7 +252,7 @@ def test_import_loads_no_dataclasses_or_inspect():
         env=dict(os.environ, PYTHONPATH=str(src)),
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_internal_faults_exit_4(monkeypatch, capsys):
@@ -446,6 +455,20 @@ def test_a_closed_stdout_exits_4_with_one_line():
         os.close(write)
     assert out.returncode == 4
     assert out.stderr == "internal error: output closed\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_stdout_exits_4_with_one_line():
+    # any failed write is a fault, never a failed verification (1)
+    with open("/dev/full", "w") as full:
+        out = subprocess.run(
+            [sys.executable, "-m", "superbc", "hooks", "--p", "1", "--q", "1", "--size", "2"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    assert out.returncode == 4
+    assert out.stderr == "internal error: [Errno 28] No space left on device\n"
 
 
 _NON_ASCII_DIGITS = [

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from superbc import exactalg, interpbc
 from superbc.exactalg import SparsePoly, THETA, add_terms, solve_exact
 from superbc.partitions import HookParams, Partition, enumerate_hooks, partitions_of, sort_key
 from superbc.interpbc import (
@@ -150,6 +151,47 @@ def test_grid_point_record_semantics():
     twins = [copy.deepcopy(point)]
     twins += [pickle.loads(pickle.dumps(point, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
     assert all(twin == point and type(twin) is GridPoint for twin in twins)
+
+
+# field order is part of each record's contract: the records unpack and
+# compare as plain tuples
+_RECORD_FIELDS = {
+    exactalg.LinearSolveOutcome: ("tag", "solution", "nullspace"),
+    interpbc.InterpolationResult: (
+        "mu", "hp", "poly", "mode", "measured_top_coefficient", "normalization_value",
+        "degenerate_normalization", "extended_grid_used", "coefficients",
+    ),
+    interpbc.ShimuraImage: ("mu", "hp", "poly", "mode", "k_value", "interpolation"),
+    interpbc.ExpansionEntry: ("nu", "coefficient", "hook_product", "direct", "reciprocal"),
+    interpbc.ExpansionReport: ("m", "hp", "entries", "orientation"),
+    interpbc.ConstantsRow: ("mu", "hp", "mode", "expansion_coefficient", "k_derived", "k_hook", "matches_k_hook"),
+    interpbc.DiagonalRow: ("mu", "hp", "value", "target", "plain_index_product", "degenerate"),
+    interpbc.VerifyRecord: ("prop", "p", "q", "mu", "lam", "mode", "status", "value"),
+    interpbc.VerifyReport: ("records",),
+}
+
+
+@pytest.mark.parametrize("record", _RECORD_FIELDS, ids=lambda record: record.__name__)
+def test_result_records_keep_their_tuple_contract(record):
+    fields = _RECORD_FIELDS[record]
+    assert record._fields == fields
+    defaults = {"solution": None, "nullspace": None} if record is exactalg.LinearSolveOutcome else {}
+    assert record._field_defaults == defaults
+    values = tuple(f"<{name}>" for name in fields)
+    rec = record(*values)
+    assert rec == values and hash(rec) == hash(values)
+    assert tuple(rec._asdict().items()) == tuple(zip(fields, values))
+    assert repr(rec) == f"{record.__name__}(" + ", ".join(f"{f}='<{f}>'" for f in fields) + ")"
+    assert type(rec._replace()) is record and rec._replace() == rec
+    assert type(pickle.loads(pickle.dumps(rec))) is record
+    with pytest.raises(AttributeError):
+        rec.extra = 0
+
+
+def test_a_solve_outcome_defaults_to_no_solution_and_no_nullspace():
+    outcome = exactalg.LinearSolveOutcome("unique")
+    assert outcome == ("unique", None, None)
+    assert (outcome.solution, outcome.nullspace) == (None, None)
 
 
 # -- interpolation ---------------------------------------------------------------
