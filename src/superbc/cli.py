@@ -89,27 +89,22 @@ def _partition(text: str) -> Partition:
 
 
 # Desk-scale bounds on the size of --mu (or --size), past which a call is a
-# usage error before any work.  Each is the largest size that ran in under 5 s
-# at the costliest (p, q) with the same max(p, q) <= DESK_PQ (indexed by
-# max(p, q) - 1); the next size took 6-10 s, and each size after it about
-# twice as long again or more.  superjack builds theta = 1 by the branching
-# rule and any other theta as phi_theta of the generic-theta Jack expansion,
-# so each route has its row.  Both polynomial routes (the branching rule's
-# passes, for superjack at theta = 1 and interp's closed form, and
-# phi_theta's integer rows) run on the dominant exponent vectors only, and
-# the full term map is their orbit expansion under the separate symmetry in
-# the x's and in the y's.  The theta = 1 row keeps the sizes timed when it
-# too took the Jack route, and the theta != 1 row those timed when
-# phi_theta multiplied full power sums in Fractions; both now run far
-# inside 5 s, and the theta != 1 row stays until it is re-timed.  kmu
-# with --p and --q does expand's work.  Without them it is the hook product
-# alone, at most |mu|!, which is fast at any size; its bound is the largest
-# size whose factorial Python still prints under its default limit of 4300
-# digits.
+# usage error before any work.  The rule: each is at most the largest size
+# whose call ran in under 5 s, spawn to exit, over every hook of that
+# size at the costliest (p, q) with the same max(p, q) <= DESK_PQ (indexed
+# by max(p, q) - 1).  superjack's row holds at every theta: theta = 1 runs
+# the branching rule and any other theta phi_theta's integer rows on
+# generic-theta Jack P_mu, both on the dominant exponent vectors with the
+# full term map as their orbit expansion; at these sizes its slowest hooks
+# took at most 1.7 s at theta = 1/2 and 2 on a 2-vCPU host.  The other
+# rows keep the sizes first timed, where the next size took 6-10 s.  kmu
+# with --p and --q does expand's work.  Without them it is the hook
+# product alone, at most |mu|!, which is fast at any size; its bound is
+# the largest size whose factorial Python still prints under its default
+# limit of 4300 digits.
 _DESK_SIZE = {
     "interp": (14, 9, 8),
     "superjack": (17, 16, 13),
-    "superjack at theta != 1": (16, 15, 12),
     "expand": (17, 12, 7),
 }
 _DESK_SIZE["kmu"] = _DESK_SIZE["expand"]
@@ -128,8 +123,20 @@ def _desk_scale(command: str, size: int, hp: HookParams | None = None) -> None:
         raise UsageError(f"{command} is desk scale: size <= {bound}{where}, got {size}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse swallows an OSError from writing its help or version text;
+    on stdout let it reach `main`, which maps it to exit 4 as it does for
+    any other output.  Subparsers take the same class."""
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="superbc",
         description="Exact hook-partition, super Jack, and type BC interpolation calculator.",
     )
@@ -212,7 +219,7 @@ def _cmd_jack(args):
 
 def _cmd_superjack(args):
     hp = HookParams(args.p, args.q)
-    _desk_scale("superjack" if args.theta == 1 else "superjack at theta != 1", args.mu.size, hp)
+    _desk_scale("superjack", args.mu.size, hp)
     poly = super_jack(args.mu, hp, args.theta)
     result = {
         "mu": str(args.mu),

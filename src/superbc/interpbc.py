@@ -246,21 +246,6 @@ def normalization_target_plain(mu: Partition, hp: HookParams) -> Fraction:
     return c_factor(mu, 1, -1, "minus") * c_factor(mu, 2 * hp.q - 2 * hp.p, -1, "plus")
 
 
-def _fixed_top(mu: Partition) -> Fraction:
-    """Top coefficient of J_mu."""
-    return Fraction(-1, 4) ** mu.size
-
-
-def _vanishing_system(mu: Partition, hp: HookParams, window: int) -> tuple:
-    """Unknowns, matrix and right-hand side of the system for J_mu: one row
-    J(grid(lam)) = 0 for each pair of `_vanishing_rows`, in the squared
-    basis below size |mu|, with the column of the fixed top coefficient
-    moved to the right-hand side."""
-    top = _fixed_top(mu)
-    pairs = list(_vanishing_rows(mu, hp, window))
-    return _unknowns(hp, mu.size), [list(row) for row, _ in pairs], [-top * value for _, value in pairs]
-
-
 @lru_cache(maxsize=None)
 def _lead_order(hp: HookParams, size: int) -> tuple:
     """The hooks nu of one size in enumeration order, and their back-
@@ -380,7 +365,7 @@ def interpolation_J(mu: Partition, hp: HookParams) -> InterpolationResult:
     pinned = solve_exact(rows, [0] * len(rows), ncols=len(weights)).tag == UNIQUE
     # J is its top coefficient +-1 / 4^|mu| times the integer map, which
     # takes few distinct values: one Fraction is formed for each
-    top = _fixed_top(mu)
+    top = Fraction(-1, 4) ** d
     scale = {c: Fraction(top.numerator * c, top.denominator) for c in {*scaled.values(), *b.values()}}
     poly = SparsePoly._raw(a_variables(hp), {e: scale[c] for e, c in scaled.items()})
     return InterpolationResult(
@@ -548,8 +533,11 @@ def diagonal_values(hp: HookParams, max_size: int) -> tuple:
 PROPERTIES = ("vanishing", "normalization", "even-symmetry", "expansion", "res-eval")
 
 # The desk-scale hook parameters of the verification suites and of the
-# computing CLI subcommands, whose size bounds were measured up to here.
+# computing CLI subcommands, whose size bounds were measured up to here,
+# and the verification suites' bounds on max_size and window.
 DESK_PQ = 3
+DESK_MAX_SIZE = 6
+DESK_WINDOW = 4
 
 
 class VerifySpec(_ValidatedRecord, namedtuple("VerifySpec", "prop hp max_size window")):
@@ -558,8 +546,8 @@ class VerifySpec(_ValidatedRecord, namedtuple("VerifySpec", "prop hp max_size wi
     def __new__(cls, prop: str, hp: HookParams, max_size: int = 3, window: int = 2) -> "VerifySpec":
         if prop not in PROPERTIES + ("all",):
             raise UsageError(f"unknown property {prop!r}")
-        if not (0 <= max_size <= 6 and 0 <= window <= 4):
-            raise UsageError("bounds exceed desk scale (max_size <= 6, window <= 4)")
+        if not (0 <= max_size <= DESK_MAX_SIZE and 0 <= window <= DESK_WINDOW):
+            raise UsageError(f"bounds exceed desk scale (max_size <= {DESK_MAX_SIZE}, window <= {DESK_WINDOW})")
         if hp.p > DESK_PQ or hp.q > DESK_PQ:
             raise UsageError(f"verification suites are desk scale: p, q <= {DESK_PQ}")
         return super().__new__(cls, prop, hp, max_size, window)

@@ -14,7 +14,7 @@ import superbc.interpbc
 import superbc.symmfunc
 from superbc.cli import _DESK_HOOK_PRODUCT_SIZE, _DESK_JACK_SIZE, _DESK_SIZE, _desk_scale, run
 from superbc.exactalg import SparsePoly, add_terms
-from superbc.interpbc import DESK_PQ, interpolation_J
+from superbc.interpbc import DESK_MAX_SIZE, DESK_PQ, DESK_WINDOW, interpolation_J
 from superbc.partitions import HookParams, Partition, enumerate_hooks
 from superbc.symmfunc import jack_P
 
@@ -168,19 +168,15 @@ def test_usage_errors_exit_2():
     assert spawn("jack", "--mu", "2", "--theta", "-1").returncode == 2  # vanishing norm
 
 
-def _past_bound(key, m, bound):
-    # key is a subcommand, or "superjack at theta != 1"
-    command, route = key.split(" ")[0], " at theta != 1" in key
-    size = "--size" if command == "expand" else "--mu"
-    theta = ("--theta", "1/2") if route else ()
-    return (command, size, str(bound + 1), "--p", str(m), "--q", "1") + theta
-
-
 # one past each bound: every size bound of the table at (p, q) = (m, 1), where
-# it applies to max(p, q) = m, then p or q past DESK_PQ, then jack's bound
-# and that of kmu without --p and --q
+# it applies to max(p, q) = m, superjack's at theta = 1 (the default), 1/2
+# and -2/3 alike, then p or q past DESK_PQ, then jack's bound and that of kmu
+# without --p and --q
 _PAST_DESK = [
-    _past_bound(key, m, bound) for key, bounds in _DESK_SIZE.items() for m, bound in enumerate(bounds, 1)
+    (command, "--size" if command == "expand" else "--mu", str(bound + 1), "--p", str(m), "--q", "1") + theta
+    for command, bounds in _DESK_SIZE.items()
+    for m, bound in enumerate(bounds, 1)
+    for theta in ([(), ("--theta", "1/2"), ("--theta", "-2/3")] if command == "superjack" else [()])
 ] + [
     ("superjack", "--mu", "1", "--p", str(DESK_PQ + 1), "--q", "1"),
     ("interp", "--mu", "1", "--p", "1", "--q", str(DESK_PQ + 1)),
@@ -198,8 +194,7 @@ def test_past_desk_scale_exits_2(argv, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    route = " at theta != 1" if "--theta" in argv else ""
-    assert captured.err.startswith(f"error: {argv[0]}{route} is desk scale: ")
+    assert captured.err.startswith(f"error: {argv[0]} is desk scale: ")
     assert len(captured.err.splitlines()) == 1
 
 
@@ -214,6 +209,14 @@ def test_desk_scale_bounds_admit_their_own_size(capsys):
     assert capsys.readouterr().err == "error: interp is desk scale: size <= 9 at (p, q) = (2, 1), got 10\n"
 
 
+def test_superjack_has_one_bound_for_every_theta(capsys):
+    # the (3, 3) bound that theta = 1 admits holds at theta = 1/2 too
+    size = _DESK_SIZE["superjack"][2]
+    code = run(["superjack", "--mu", str(size), "--p", "3", "--q", "3", "--theta", "1/2"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == "" and captured.out.count("\n") == 1
+
+
 def test_readme_desk_bound_table_matches_the_cli():
     # the README states every desk bound that _desk_scale enforces
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -224,11 +227,11 @@ def test_readme_desk_bound_table_matches_the_cli():
 
     assert bounds("`interp`") == [_DESK_SIZE["interp"]]
     assert bounds("`superjack`") == [_DESK_SIZE["superjack"]]
-    assert bounds("`superjack` at θ ≠ 1") == [_DESK_SIZE["superjack at theta != 1"]]
     assert bounds("`expand`") == [_DESK_SIZE["expand"]]
     assert bounds("`kmu`") == [_DESK_SIZE["kmu"], (_DESK_HOOK_PRODUCT_SIZE,)]
     assert bounds("`jack`") == [(_DESK_JACK_SIZE,)]
-    for row in ("`interp`", "`superjack`", "`superjack` at θ ≠ 1", "`expand`", "`kmu`"):
+    assert bounds("`verify`") == [(DESK_MAX_SIZE,), (DESK_WINDOW,)]
+    for row in ("`interp`", "`superjack`", "`expand`", "`kmu`", "`verify`"):
         assert f"`p, q <= {DESK_PQ}`" in table[row]
 
 
@@ -457,16 +460,26 @@ def test_a_closed_stdout_exits_4_with_one_line():
     assert out.stderr == "internal error: output closed\n"
 
 
+def _to_full(*argv):
+    with open("/dev/full", "w") as full:
+        return subprocess.run(
+            [sys.executable, "-m", "superbc", *argv], stdout=full, stderr=subprocess.PIPE, text=True
+        )
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_a_full_stdout_exits_4_with_one_line():
     # any failed write is a fault, never a failed verification (1)
-    with open("/dev/full", "w") as full:
-        out = subprocess.run(
-            [sys.executable, "-m", "superbc", "hooks", "--p", "1", "--q", "1", "--size", "2"],
-            stdout=full,
-            stderr=subprocess.PIPE,
-            text=True,
-        )
+    out = _to_full("hooks", "--p", "1", "--q", "1", "--size", "2")
+    assert out.returncode == 4
+    assert out.stderr == "internal error: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [("--help",), ("--version",), ("superjack", "--help")], ids=" ".join)
+def test_help_and_version_to_a_full_stdout_exit_4(argv):
+    # argparse itself swallows an OSError from writing help or version text
+    out = _to_full(*argv)
     assert out.returncode == 4
     assert out.stderr == "internal error: [Errno 28] No space left on device\n"
 

@@ -37,7 +37,7 @@ from superbc.superpoly import (
 )
 from superbc.symmfunc import jack_P
 
-from .oracles import phi_product
+from .oracles import phi_product, vanishing_system
 
 P = Partition.of
 PAIRS = [HookParams(1, 1), HookParams(2, 1), HookParams(1, 2), HookParams(2, 2)]
@@ -288,21 +288,20 @@ def _first_unique(system, mu, hp, cap=5):
 
 def test_one_more_window_step_keeps_the_coefficients():
     from superbc.exactalg import UNIQUE
-    from superbc.interpbc import _vanishing_system
 
     for hp in (HookParams(2, 1), HookParams(2, 2), HookParams(3, 3)):
         for mu in enumerate_hooks(hp, 4, "upto"):
             j = interpolation_J(mu, hp)
-            window, solution = _first_unique(_vanishing_system, mu, hp)
+            window, solution = _first_unique(vanishing_system, mu, hp)
             assert j.extended_grid_used == (window > 0)
             assert solution.items() <= dict(j.coefficients).items()
-            unknowns, matrix, rhs = _vanishing_system(mu, hp, window + 1)
+            unknowns, matrix, rhs = vanishing_system(mu, hp, window + 1)
             wider = solve_exact(matrix, rhs, ncols=len(unknowns))
             assert wider.tag == UNIQUE and dict(zip(unknowns, wider.solution)) == solution, (hp, mu)
 
 
 def test_closed_form_j_is_the_windowed_vanishing_solve():
-    from superbc.interpbc import _sp_squared, _vanishing_system
+    from superbc.interpbc import _sp_squared
 
     def combination(pairs, hp):
         terms = add_terms((e, v * c) for nu, c in pairs for e, v in _sp_squared(nu, hp).terms.items())
@@ -312,7 +311,7 @@ def test_closed_form_j_is_the_windowed_vanishing_solve():
     for hp, max_size in [(hp, 5) for hp in PAIRS] + [(HookParams(3, 3), 4)]:
         for mu in enumerate_hooks(hp, max_size, "upto"):
             j = interpolation_J(mu, hp)
-            window, solution = _first_unique(_vanishing_system, mu, hp)
+            window, solution = _first_unique(vanishing_system, mu, hp)
             solution[mu] = Fraction(-1, 4) ** mu.size
             assert j.poly == combination(solution.items(), hp), (hp, mu)
             assert j.poly == combination(j.coefficients, hp), (hp, mu)
@@ -326,13 +325,12 @@ def test_extended_grid_used_is_the_window_0_solve():
     # the flag is the tag of the Fraction solve of the window-0 system, and
     # a unique solution is the closed form's coefficients
     from superbc.exactalg import UNIQUE
-    from superbc.interpbc import _vanishing_system
 
     checked = 0
     for hp in [HookParams(p, q) for p in (1, 2, 3) for q in (1, 2, 3)]:
         for mu in enumerate_hooks(hp, 6 if hp.p + hp.q <= 4 else 5, "upto"):
             j = interpolation_J(mu, hp)
-            unknowns, matrix, rhs = _vanishing_system(mu, hp, 0)
+            unknowns, matrix, rhs = vanishing_system(mu, hp, 0)
             outcome = solve_exact(matrix, rhs, ncols=len(unknowns))
             assert j.extended_grid_used == (outcome.tag != UNIQUE), (hp, mu)
             if outcome.tag == UNIQUE:
@@ -457,8 +455,6 @@ def _paper_system(mu, hp, window):
 
 
 def test_imposing_the_normalization_gives_the_same_j():
-    from superbc.interpbc import _vanishing_system
-
     checked = 0
     for hp, max_size in [(hp, 5) for hp in PAIRS] + [(HookParams(3, 3), 4)]:
         for mu in enumerate_hooks(hp, max_size, "upto"):
@@ -466,7 +462,7 @@ def test_imposing_the_normalization_gives_the_same_j():
                 continue
             j = interpolation_J(mu, hp)
             window, solution = _first_unique(_paper_system, mu, hp, cap=3)
-            assert window == _first_unique(_vanishing_system, mu, hp, cap=3)[0], (hp, mu)
+            assert window == _first_unique(vanishing_system, mu, hp, cap=3)[0], (hp, mu)
             assert j.extended_grid_used == (window > 0)
             expected = {nu: solution.get(nu, Fraction(0)) for nu, _ in j.coefficients}
             assert dict(j.coefficients) == expected, (hp, mu)
@@ -573,12 +569,10 @@ def test_grid_orbit_is_an_invariant_of_the_squared_basis():
 
 
 def test_vanishing_system_has_no_repeated_rows():
-    from superbc.interpbc import _vanishing_system
-
     for hp in PAIRS + [HookParams(3, 3)]:
         for mu in enumerate_hooks(hp, 4, "upto"):
             for window in range(3):
-                unknowns, matrix, rhs = _vanishing_system(mu, hp, window)
+                unknowns, matrix, rhs = vanishing_system(mu, hp, window)
                 rows = [tuple(row) + (b,) for row, b in zip(matrix, rhs)]
                 assert len(set(rows)) == len(rows), (hp, mu, window)
 
