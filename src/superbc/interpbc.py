@@ -231,19 +231,12 @@ def normalization_target(mu: Partition, hp: HookParams) -> Fraction:
     The C^+ factor carries the transposed index because the polynomial is a
     change of variables of the type BC interpolation polynomial indexed by
     mu'.  C^- is a hook-length product and hence transpose-invariant; C^+ is
-    not, so the plain-index product (normalization_target_plain) agrees only
-    for self-conjugate mu.  J_mu never imposes this value, so its closed
-    form decides empirically: every measured diagonal equals it.
+    not.  J_mu never imposes this value, so its closed form decides
+    empirically: every measured diagonal equals it.
     """
     return c_factor(mu, 1, -1, "minus") * c_factor(
         mu.transpose(), 2 * hp.q - 2 * hp.p, -1, "plus"
     )
-
-
-def normalization_target_plain(mu: Partition, hp: HookParams) -> Fraction:
-    """The same product with the C^+ factor on mu itself; reported next to
-    the measured values, never asserted."""
-    return c_factor(mu, 1, -1, "minus") * c_factor(mu, 2 * hp.q - 2 * hp.p, -1, "plus")
 
 
 @lru_cache(maxsize=None)
@@ -474,7 +467,7 @@ def derive_k(mu: Partition, hp: HookParams) -> Fraction:
     return (-2) ** mu.size * _expansion_coefficient(mu, hp)
 
 
-class ConstantsRow(namedtuple("ConstantsRow", "mu hp mode expansion_coefficient k_derived k_hook matches_k_hook")):
+class ConstantsRow(namedtuple("ConstantsRow", "mu hp mode expansion_coefficient k_derived k_hook k_identity")):
     __slots__ = ()
 
 
@@ -482,12 +475,14 @@ def constants_ledger(hp: HookParams, max_size: int) -> tuple:
     """Measured expansion coefficients and derived k next to the hook
     formula for k, with J_mu's mode.
 
-    The comparison is reported, never asserted: the hook formula disagrees
-    with the derived value by powers of 2 under this variable scaling.  J's
-    top coefficient is no column: the construction fixes it."""
+    `k_identity` holds k_derived * k_hook == 2^{|mu|}.  With k_derived =
+    (-2)^{|mu|} e_mu and k_hook = (-1)^{|mu|} H(mu), H the hook product
+    C^-(1;-1), it is the expansion identity e_mu * H(mu) = 1 times
+    2^{|mu|}.  J's top coefficient is no column: the construction fixes
+    it."""
     rows = []
     for mu in enumerate_hooks(hp, max_size, "upto"):
-        k_derived = derive_k(mu, hp)
+        k_derived, k_hook = derive_k(mu, hp), k_mu(mu)
         rows.append(
             ConstantsRow(
                 mu=mu,
@@ -495,33 +490,8 @@ def constants_ledger(hp: HookParams, max_size: int) -> tuple:
                 mode=interpolation_J(mu, hp).mode,
                 expansion_coefficient=_expansion_coefficient(mu, hp),
                 k_derived=k_derived,
-                k_hook=k_mu(mu),
-                matches_k_hook=(k_derived == k_mu(mu)),
-            )
-        )
-    return tuple(rows)
-
-
-class DiagonalRow(namedtuple("DiagonalRow", "mu hp value target plain_index_product degenerate")):
-    __slots__ = ()
-
-
-def diagonal_values(hp: HookParams, max_size: int) -> tuple:
-    """Measured evaluation-matrix diagonal J_mu(grid(mu)) next to the two
-    closed-form candidates.  Zero diagonals are legitimate data here (the
-    nonvanishing claimed for generic parameters fails at the specialized
-    ones); they are exactly the degenerate-normalization cases."""
-    rows = []
-    for mu in enumerate_hooks(hp, max_size, "upto"):
-        j = interpolation_J(mu, hp)
-        rows.append(
-            DiagonalRow(
-                mu=mu,
-                hp=hp,
-                value=j.normalization_value,
-                target=normalization_target(mu, hp),
-                plain_index_product=normalization_target_plain(mu, hp),
-                degenerate=j.degenerate_normalization,
+                k_hook=k_hook,
+                k_identity=(k_derived * k_hook == 2 ** mu.size),
             )
         )
     return tuple(rows)
@@ -677,11 +647,16 @@ def _verify_even_symmetry(hp: HookParams, max_size: int) -> list:
 
 
 def _verify_expansion(hp: HookParams, max_size: int) -> list:
+    """Each entry passes when e_nu * H(nu) = 1, computed here from its
+    coefficient and hook product, and each degree when all its entries
+    pass.  The modes are the report's orientation flags."""
     recs = []
     for m in range(max_size + 1):
         report = expansion_identity(m, hp)
+        degree_ok = True
         for en in report.entries:
-            ok = en.direct or en.reciprocal
+            ok = en.coefficient * en.hook_product == 1
+            degree_ok &= ok
             mode = "both" if en.direct and en.reciprocal else ("direct" if en.direct else ("reciprocal" if en.reciprocal else "neither"))
             recs.append(
                 VerifyRecord("expansion", hp.p, hp.q, en.nu, None, mode,
@@ -689,7 +664,7 @@ def _verify_expansion(hp: HookParams, max_size: int) -> list:
             )
         recs.append(
             VerifyRecord("expansion", hp.p, hp.q, None, None, report.orientation,
-                         "pass" if report.orientation != "mixed" else "fail", str(m))
+                         "pass" if degree_ok else "fail", str(m))
         )
     return recs
 

@@ -475,11 +475,12 @@ def save_jack_cache(path) -> None:
 def load_jack_cache(path) -> int:
     """Merge a persisted cache; returns the number of entries loaded.  The
     loaded coefficients are used as they are, without recomputation, so a
-    file with a wrong coefficient makes `jack_P` wrong: load only a file
-    this package saved.  The whole file is parsed before anything is
-    merged, so a file that fails to parse, or is valid JSON of another shape
-    (a number where the format has a string, for one), raises ValueError
-    and leaves the in-memory cache untouched."""
+    file with a wrong coefficient makes `jack_m_coeffs` wrong, the only
+    reader of this cache, which the tests use as an oracle (`jack_P` never
+    reads it): load only a file this package saved.  The whole file is
+    parsed before anything is merged, so a file that fails to parse, or is
+    valid JSON of another shape (a number where the format has a string,
+    for one), raises ValueError and leaves the in-memory cache untouched."""
     import json
 
     with open(path, "r", encoding="utf-8") as fh:

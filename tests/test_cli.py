@@ -12,7 +12,7 @@ import pytest
 import superbc.cli
 import superbc.interpbc
 import superbc.symmfunc
-from superbc.cli import _DESK_HOOK_PRODUCT_SIZE, _DESK_JACK_SIZE, _DESK_SIZE, _desk_scale, run
+from superbc.cli import _DESK_GRID_SIZE, _DESK_HOOK_PRODUCT_SIZE, _DESK_JACK_SIZE, _DESK_SIZE, _desk_scale, run
 from superbc.exactalg import SparsePoly, add_terms
 from superbc.interpbc import DESK_MAX_SIZE, DESK_PQ, DESK_WINDOW, interpolation_J
 from superbc.partitions import HookParams, Partition, enumerate_hooks
@@ -170,8 +170,9 @@ def test_usage_errors_exit_2():
 
 # one past each bound: every size bound of the table at (p, q) = (m, 1), where
 # it applies to max(p, q) = m, superjack's at theta = 1 (the default), 1/2
-# and -2/3 alike, then p or q past DESK_PQ, then jack's bound and that of kmu
-# without --p and --q
+# and -2/3 alike, then p or q past DESK_PQ, then jack's bound, that of kmu
+# without --p and --q, and grid's, which holds at every (p, q): a lambda_1
+# or a p too large for an index is refused, not an internal error
 _PAST_DESK = [
     (command, "--size" if command == "expand" else "--mu", str(bound + 1), "--p", str(m), "--q", "1") + theta
     for command, bounds in _DESK_SIZE.items()
@@ -184,6 +185,11 @@ _PAST_DESK = [
     ("kmu", "--mu", "1", "--p", str(DESK_PQ + 1), "--q", "1"),
     ("jack", "--mu", str(_DESK_JACK_SIZE + 1)),
     ("kmu", "--mu", str(_DESK_HOOK_PRODUCT_SIZE + 1)),
+    ("grid", "--lambda", str(_DESK_GRID_SIZE + 1), "--p", "3", "--q", "3"),
+    ("grid", "--lambda", str(_DESK_GRID_SIZE + 1), "--p", "1", "--q", "1"),
+    ("grid", "--lambda", "999999999999999999999999999999", "--p", "3", "--q", "3"),
+    ("grid", "--lambda", "1", "--p", str(DESK_PQ + 1), "--q", "1"),
+    ("grid", "--lambda", "1", "--p", "1", "--q", "10000000000000000000000"),
 ]
 
 
@@ -207,6 +213,11 @@ def test_desk_scale_bounds_admit_their_own_size(capsys):
     _desk_scale("kmu", _DESK_HOOK_PRODUCT_SIZE)
     assert run(["interp", "--mu", "10", "--p", "2", "--q", "1"]) == 2
     assert capsys.readouterr().err == "error: interp is desk scale: size <= 9 at (p, q) = (2, 1), got 10\n"
+    assert run(["grid", "--lambda", str(_DESK_GRID_SIZE), "--p", str(DESK_PQ), "--q", str(DESK_PQ)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.count("\n") == 1
+    assert run(["grid", "--lambda", f"{_DESK_GRID_SIZE},1", "--p", "1", "--q", "1"]) == 2
+    assert capsys.readouterr().err == f"error: grid is desk scale: size <= {_DESK_GRID_SIZE}, got {_DESK_GRID_SIZE + 1}\n"
 
 
 def test_superjack_has_one_bound_for_every_theta(capsys):
@@ -230,8 +241,9 @@ def test_readme_desk_bound_table_matches_the_cli():
     assert bounds("`expand`") == [_DESK_SIZE["expand"]]
     assert bounds("`kmu`") == [_DESK_SIZE["kmu"], (_DESK_HOOK_PRODUCT_SIZE,)]
     assert bounds("`jack`") == [(_DESK_JACK_SIZE,)]
+    assert bounds("`grid`") == [(_DESK_GRID_SIZE,)]
     assert bounds("`verify`") == [(DESK_MAX_SIZE,), (DESK_WINDOW,)]
-    for row in ("`interp`", "`superjack`", "`expand`", "`kmu`", "`verify`"):
+    for row in ("`interp`", "`superjack`", "`expand`", "`kmu`", "`grid`", "`verify`"):
         assert f"`p, q <= {DESK_PQ}`" in table[row]
 
 

@@ -16,7 +16,6 @@ from superbc.interpbc import (
     constants_ledger,
     d_mu,
     derive_k,
-    diagonal_values,
     expansion_identity,
     grid_point,
     interpolation_J,
@@ -164,8 +163,7 @@ _RECORD_FIELDS = {
     interpbc.ShimuraImage: ("mu", "hp", "poly", "mode", "k_value", "interpolation"),
     interpbc.ExpansionEntry: ("nu", "coefficient", "hook_product", "direct", "reciprocal"),
     interpbc.ExpansionReport: ("m", "hp", "entries", "orientation"),
-    interpbc.ConstantsRow: ("mu", "hp", "mode", "expansion_coefficient", "k_derived", "k_hook", "matches_k_hook"),
-    interpbc.DiagonalRow: ("mu", "hp", "value", "target", "plain_index_product", "degenerate"),
+    interpbc.ConstantsRow: ("mu", "hp", "mode", "expansion_coefficient", "k_derived", "k_hook", "k_identity"),
     interpbc.VerifyRecord: ("prop", "p", "q", "mu", "lam", "mode", "status", "value"),
     interpbc.VerifyReport: ("records",),
 }
@@ -642,13 +640,15 @@ def test_even_supersymmetry_of_j():
 
 
 def test_diagonal_values_report():
-    rows = diagonal_values(HookParams(2, 1), 2)
-    by_mu = {str(r.mu): r for r in rows}
-    assert by_mu["1,1"].value == 0 and by_mu["1,1"].degenerate
-    assert by_mu["2"].value == 24
-    assert by_mu["2"].plain_index_product == 0
-    for r in rows:
-        assert r.value == r.target
+    # the measured diagonal J_mu(grid(mu)) is the transposed-index target; the
+    # plain-index C^+ product differs at (2) for (p, q) = (2, 1)
+    hp = HookParams(2, 1)
+    by_mu = {str(mu): interpolation_J(mu, hp) for mu in enumerate_hooks(hp, 2, "upto")}
+    assert by_mu["1,1"].normalization_value == 0 and by_mu["1,1"].degenerate_normalization
+    assert by_mu["2"].normalization_value == 24
+    assert c_factor(P(2), 1, -1, "minus") * c_factor(P(2), 2 * hp.q - 2 * hp.p, -1, "plus") == 0
+    for j in by_mu.values():
+        assert j.normalization_value == normalization_target(j.mu, hp)
 
 
 # -- shimura image ----------------------------------------------------------------
@@ -808,6 +808,23 @@ def test_derive_k_is_the_quotient_by_the_measured_top_coefficient():
             e = next(en.coefficient for en in expansion_identity(mu.size, hp).entries if en.nu == mu)
             top = interpolation_J(mu, hp).measured_top_coefficient
             assert derive_k(mu, hp) == Fraction(1, 2) ** mu.size * e / top
+
+
+def test_expansion_and_ledger_identities_at_all_nine_pairs():
+    # e_nu H(nu) = 1, H the hook product C^-(1;-1), and k~ k_hook = 2^{|mu|},
+    # on every hook of size <= 6 (<= 5 at max(p, q) = 3)
+    rows = 0
+    for p in range(1, 4):
+        for q in range(1, 4):
+            hp = HookParams(p, q)
+            max_size = 5 if max(p, q) == 3 else 6
+            for m in range(max_size + 1):
+                for en in expansion_identity(m, hp).entries:
+                    assert en.coefficient * c_factor(en.nu, 1, -1, "minus") == 1, (hp, en)
+            for row in constants_ledger(hp, max_size):
+                assert row.k_derived * row.k_hook == 2 ** row.mu.size and row.k_identity, row
+                rows += 1
+    assert rows == 205
 
 
 def test_constants_ledger_consistency():
