@@ -1,8 +1,8 @@
-"""Run every exact verification suite over the four desk-scale parameter
-pairs and print per-record results plus a combined summary.
+"""Run every exact verification suite at (p, q) = (1, 1), (2, 1), (1, 2)
+and (2, 2), and print per-record results plus a combined summary.
 
-Exit code: 0 all pass, 1 any failure, 3 degenerate normalizations were
-encountered and routed through the top-coefficient fallback.
+Exit code: 0 all pass, 1 any failure, 3 no failure but some J_mu labelled
+`top`, whose normalization target vanishes (a `degenerate` record).
 """
 
 import argparse

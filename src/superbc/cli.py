@@ -88,44 +88,37 @@ def _partition(text: str) -> Partition:
         raise argparse.ArgumentTypeError(f"bad partition {text!r}: {err}")
 
 
-# Desk-scale bounds on the size of --mu (or --size), past which a call is a
-# usage error before any work.  The rule: each is at most the largest size
-# whose call ran in under 5 s, spawn to exit, over every hook of that
-# size at the costliest (p, q) with the same max(p, q) <= DESK_PQ (indexed
-# by max(p, q) - 1).  superjack's row holds at every theta: theta = 1 runs
-# the branching rule and any other theta phi_theta's integer rows on
-# generic-theta Jack P_mu, both on the dominant exponent vectors with the
-# full term map as their orbit expansion; at these sizes its slowest hooks
-# took at most 1.7 s at theta = 1/2 and 2 on a 2-vCPU host.  The other
-# rows keep the sizes first timed, where the next size took 6-10 s.  kmu
-# with --p and --q does expand's work.  Without them it is the hook
-# product alone, at most |mu|!, which is fast at any size; its bound is
-# the largest size whose factorial Python still prints under its default
-# limit of 4300 digits.
+# Desk-scale bounds, past which a call is a usage error before any work.  A
+# row is keyed by its command, the option whose size it bounds and whether
+# the call has --p and --q, which are then at most DESK_PQ; it holds one
+# bound, or one per max(p, q) = 1, 2, 3.  The rule: a bound is at most the
+# largest size whose call ran in under 5 s, spawn to exit, over every hook
+# of that size at the costliest (p, q) with the same max(p, q), and at
+# every theta for superjack.  hooks keeps about half of that (1.4-2.1 s at
+# (m, m) on a 2-vCPU host), so that CI's 5 s timeout holds on a slower
+# runner.  kmu with --p and --q does expand's work; without them it is the
+# hook product alone, at most |mu|!, and its bound is the largest size whose
+# factorial Python still prints under its default limit of 4300 digits.
+# grid's point is built from the transpose of lambda, lambda_1 entries.
 _DESK_SIZE = {
-    "interp": (14, 9, 8),
-    "superjack": (17, 16, 13),
-    "expand": (17, 12, 7),
+    ("hooks", "--size", True): (4000, 130, 60),
+    ("hooks", "--max-size", True): (350, 65, 45),
+    ("jack", "--mu", False): 16,
+    ("superjack", "--mu", True): (17, 16, 13),
+    ("grid", "--lambda", True): 10**6,
+    ("interp", "--mu", True): (14, 9, 8),
+    ("kmu", "--mu", False): 1558,
+    ("expand", "--size", True): (17, 12, 7),
 }
-_DESK_SIZE["kmu"] = _DESK_SIZE["expand"]
-_DESK_JACK_SIZE = 16
-_DESK_HOOK_PRODUCT_SIZE = 1558
-# grid's bound on the size of --lambda, at every (p, q) <= DESK_PQ: the point
-# is built from the transpose of lambda, a list of lambda_1 entries.  At
-# (3, 3), lambda = (10^6) took 0.2 s and 30 MB spawn to exit, and (10^7)
-# 1.5 s and 167 MB, on a 2-vCPU host.
-_DESK_GRID_SIZE = 10**6
+_DESK_SIZE["kmu", "--mu", True] = _DESK_SIZE["expand", "--size", True]
 
 
-def _desk_scale(command: str, size: int, hp: HookParams | None = None) -> None:
-    if hp is None:
-        bound, where = _DESK_HOOK_PRODUCT_SIZE if command == "kmu" else _DESK_JACK_SIZE, ""
-    elif hp.p > DESK_PQ or hp.q > DESK_PQ:
+def _desk_scale(command: str, option: str, size: int, hp: HookParams | None = None) -> None:
+    bound, where = _DESK_SIZE[command, option, hp is not None], ""
+    if hp is not None and (hp.p > DESK_PQ or hp.q > DESK_PQ):
         raise UsageError(f"{command} is desk scale: p, q <= {DESK_PQ}")
-    elif command == "grid":
-        bound, where = _DESK_GRID_SIZE, ""
-    else:
-        bound, where = _DESK_SIZE[command][max(hp.p, hp.q) - 1], f" at (p, q) = ({hp.p}, {hp.q})"
+    if isinstance(bound, tuple):
+        bound, where = bound[max(hp.p, hp.q) - 1], f" at (p, q) = ({hp.p}, {hp.q})"
     if size > bound:
         raise UsageError(f"{command} is desk scale: size <= {bound}{where}, got {size}")
 
@@ -210,15 +203,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_hooks(args):
     hp = HookParams(args.p, args.q)
     if args.size is not None:
-        hooks = enumerate_hooks(hp, args.size, "exact")
+        option, size, mode = "--size", args.size, "exact"
     else:
-        hooks = enumerate_hooks(hp, args.max_size, "upto")
-    names = [str(lam) for lam in hooks]
+        option, size, mode = "--max-size", args.max_size, "upto"
+    _desk_scale("hooks", option, size, hp)
+    names = [str(lam) for lam in enumerate_hooks(hp, size, mode)]
     return 0, {"partitions": names}, names
 
 
 def _cmd_jack(args):
-    _desk_scale("jack", args.mu.size)
+    _desk_scale("jack", "--mu", args.mu.size)
     f = jack_P(args.mu, args.theta)
     result = {"mu": str(args.mu), "theta": str(args.theta), "symfun": f.to_record()}
     return 0, result, [f"P[{args.mu}](theta={args.theta}) = {f.to_text()}"]
@@ -226,7 +220,7 @@ def _cmd_jack(args):
 
 def _cmd_superjack(args):
     hp = HookParams(args.p, args.q)
-    _desk_scale("superjack", args.mu.size, hp)
+    _desk_scale("superjack", "--mu", args.mu.size, hp)
     poly = super_jack(args.mu, hp, args.theta)
     result = {
         "mu": str(args.mu),
@@ -240,7 +234,7 @@ def _cmd_superjack(args):
 
 def _cmd_grid(args):
     hp = HookParams(args.p, args.q)
-    _desk_scale("grid", args.lam.size, hp)
+    _desk_scale("grid", "--lambda", args.lam.size, hp)
     point = grid_point(args.lam, hp)
     coords = [str(c) for c in point.coords]
     result = {"lambda": str(args.lam), "p": args.p, "q": args.q, "coordinates": coords}
@@ -277,7 +271,7 @@ def _interp_lines(j) -> list:
 
 def _cmd_interp(args):
     hp = HookParams(args.p, args.q)
-    _desk_scale("interp", args.mu.size, hp)
+    _desk_scale("interp", "--mu", args.mu.size, hp)
     j = interpolation_J(args.mu, hp)
     return (3 if j.degenerate_normalization else 0), _interp_result(j), _interp_lines(j)
 
@@ -286,7 +280,7 @@ def _cmd_kmu(args):
     if (args.p is None) != (args.q is None):
         raise UsageError("--p and --q must be given together")
     hp = None if args.p is None else HookParams(args.p, args.q)
-    _desk_scale("kmu", args.mu.size, hp)
+    _desk_scale("kmu", "--mu", args.mu.size, hp)
     k = k_mu(args.mu)
     result = {"mu": str(args.mu), "k": str(k)}
     lines = [f"k[{args.mu}] = {k}"]
@@ -299,7 +293,7 @@ def _cmd_kmu(args):
 
 def _cmd_expand(args):
     hp = HookParams(args.p, args.q)
-    _desk_scale("expand", args.size, hp)
+    _desk_scale("expand", "--size", args.size, hp)
     report = expansion_identity(args.size, hp)
     entries = [
         {

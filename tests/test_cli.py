@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,14 +9,16 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import superbc.cli
 import superbc.interpbc
 import superbc.symmfunc
-from superbc.cli import _DESK_GRID_SIZE, _DESK_HOOK_PRODUCT_SIZE, _DESK_JACK_SIZE, _DESK_SIZE, _desk_scale, run
+from superbc.cli import _DESK_SIZE, _desk_scale, run
 from superbc.exactalg import SparsePoly, add_terms
-from superbc.interpbc import DESK_MAX_SIZE, DESK_PQ, DESK_WINDOW, interpolation_J
+from superbc.interpbc import DESK_MAX_SIZE, DESK_PQ, DESK_WINDOW, PROPERTIES, interpolation_J
 from superbc.partitions import HookParams, Partition, enumerate_hooks
 from superbc.symmfunc import jack_P
 
@@ -135,14 +139,15 @@ def test_kmu_with_derived(capsys):
 def test_kmu_hook_product_prints_up_to_its_desk_bound(capsys):
     # the hook product of (n) is n!, the largest of size n; at the bound it
     # has 4300 digits, and one size past is refused, not an internal error
-    code, out = invoke(capsys, "kmu", "--mu", str(_DESK_HOOK_PRODUCT_SIZE))
+    bound = _DESK_SIZE["kmu", "--mu", False]
+    code, out = invoke(capsys, "kmu", "--mu", str(bound))
     assert code == 0
-    assert out == f"k[{_DESK_HOOK_PRODUCT_SIZE}] = {math.factorial(_DESK_HOOK_PRODUCT_SIZE)}\n"
-    assert len(str(math.factorial(_DESK_HOOK_PRODUCT_SIZE))) == 4300
-    code = run(["kmu", "--mu", str(_DESK_HOOK_PRODUCT_SIZE + 1), "--format", "structured"])
+    assert out == f"k[{bound}] = {math.factorial(bound)}\n"
+    assert len(str(math.factorial(bound))) == 4300
+    code = run(["kmu", "--mu", str(bound + 1), "--format", "structured"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == f"error: kmu is desk scale: size <= 1558, got {_DESK_HOOK_PRODUCT_SIZE + 1}\n"
+    assert captured.err == f"error: kmu is desk scale: size <= 1558, got {bound + 1}\n"
 
 
 def test_expand_text(capsys):
@@ -168,28 +173,32 @@ def test_usage_errors_exit_2():
     assert spawn("jack", "--mu", "2", "--theta", "-1").returncode == 2  # vanishing norm
 
 
-# one past each bound: every size bound of the table at (p, q) = (m, 1), where
-# it applies to max(p, q) = m, superjack's at theta = 1 (the default), 1/2
-# and -2/3 alike, then p or q past DESK_PQ, then jack's bound, that of kmu
-# without --p and --q, and grid's, which holds at every (p, q): a lambda_1
-# or a p too large for an index is refused, not an internal error
+def _bound(bounds, m):
+    """The bound of a _DESK_SIZE row at max(p, q) = m."""
+    return bounds[m - 1] if isinstance(bounds, tuple) else bounds
+
+
+# one past each row of the table at (p, q) = (m, 1) for every m <= DESK_PQ
+# (once, for a row without --p and --q), superjack's at theta = 1 (the
+# default), 1/2 and -2/3 alike, then p past DESK_PQ for every row with --p
+# and --q; then q past it, grid one past at (3, 3), and values far past a
+# bound, some too large for an index, which are refused, not an internal
+# error
 _PAST_DESK = [
-    (command, "--size" if command == "expand" else "--mu", str(bound + 1), "--p", str(m), "--q", "1") + theta
-    for command, bounds in _DESK_SIZE.items()
-    for m, bound in enumerate(bounds, 1)
+    (command, option, str(_bound(bounds, m) + 1)) + (("--p", str(m), "--q", "1") if paired else ()) + theta
+    for (command, option, paired), bounds in _DESK_SIZE.items()
+    for m in (range(1, DESK_PQ + 1) if paired else (1,))
     for theta in ([(), ("--theta", "1/2"), ("--theta", "-2/3")] if command == "superjack" else [()])
 ] + [
-    ("superjack", "--mu", "1", "--p", str(DESK_PQ + 1), "--q", "1"),
+    (command, option, "1", "--p", str(DESK_PQ + 1), "--q", "1")
+    for (command, option, paired) in _DESK_SIZE if paired
+] + [
     ("interp", "--mu", "1", "--p", "1", "--q", str(DESK_PQ + 1)),
-    ("expand", "--size", "1", "--p", str(DESK_PQ + 1), "--q", "1"),
-    ("kmu", "--mu", "1", "--p", str(DESK_PQ + 1), "--q", "1"),
-    ("jack", "--mu", str(_DESK_JACK_SIZE + 1)),
-    ("kmu", "--mu", str(_DESK_HOOK_PRODUCT_SIZE + 1)),
-    ("grid", "--lambda", str(_DESK_GRID_SIZE + 1), "--p", "3", "--q", "3"),
-    ("grid", "--lambda", str(_DESK_GRID_SIZE + 1), "--p", "1", "--q", "1"),
+    ("grid", "--lambda", str(_DESK_SIZE["grid", "--lambda", True] + 1), "--p", "3", "--q", "3"),
     ("grid", "--lambda", "999999999999999999999999999999", "--p", "3", "--q", "3"),
-    ("grid", "--lambda", "1", "--p", str(DESK_PQ + 1), "--q", "1"),
     ("grid", "--lambda", "1", "--p", "1", "--q", "10000000000000000000000"),
+    ("hooks", "--p", "1", "--q", "1", "--size", "100000"),
+    ("hooks", "--p", "100000", "--q", "100000", "--max-size", "60"),
 ]
 
 
@@ -205,24 +214,23 @@ def test_past_desk_scale_exits_2(argv, capsys):
 
 
 def test_desk_scale_bounds_admit_their_own_size(capsys):
-    for command, bounds in _DESK_SIZE.items():
-        for m, bound in enumerate(bounds, 1):
-            for hp in (HookParams(m, 1), HookParams(1, m), HookParams(m, m)):
-                _desk_scale(command, bound, hp)
-    _desk_scale("jack", _DESK_JACK_SIZE)
-    _desk_scale("kmu", _DESK_HOOK_PRODUCT_SIZE)
+    for (command, option, paired), bounds in _DESK_SIZE.items():
+        for m in range(1, DESK_PQ + 1):
+            for hp in (HookParams(m, 1), HookParams(1, m), HookParams(m, m)) if paired else (None,):
+                _desk_scale(command, option, _bound(bounds, m), hp)
     assert run(["interp", "--mu", "10", "--p", "2", "--q", "1"]) == 2
     assert capsys.readouterr().err == "error: interp is desk scale: size <= 9 at (p, q) = (2, 1), got 10\n"
-    assert run(["grid", "--lambda", str(_DESK_GRID_SIZE), "--p", str(DESK_PQ), "--q", str(DESK_PQ)]) == 0
+    grid = _DESK_SIZE["grid", "--lambda", True]
+    assert run(["grid", "--lambda", str(grid), "--p", str(DESK_PQ), "--q", str(DESK_PQ)]) == 0
     captured = capsys.readouterr()
     assert captured.err == "" and captured.out.count("\n") == 1
-    assert run(["grid", "--lambda", f"{_DESK_GRID_SIZE},1", "--p", "1", "--q", "1"]) == 2
-    assert capsys.readouterr().err == f"error: grid is desk scale: size <= {_DESK_GRID_SIZE}, got {_DESK_GRID_SIZE + 1}\n"
+    assert run(["grid", "--lambda", f"{grid},1", "--p", "1", "--q", "1"]) == 2
+    assert capsys.readouterr().err == f"error: grid is desk scale: size <= {grid}, got {grid + 1}\n"
 
 
 def test_superjack_has_one_bound_for_every_theta(capsys):
     # the (3, 3) bound that theta = 1 admits holds at theta = 1/2 too
-    size = _DESK_SIZE["superjack"][2]
+    size = _DESK_SIZE["superjack", "--mu", True][2]
     code = run(["superjack", "--mu", str(size), "--p", "3", "--q", "3", "--theta", "1/2"])
     captured = capsys.readouterr()
     assert code == 0 and captured.err == "" and captured.out.count("\n") == 1
@@ -236,14 +244,11 @@ def test_readme_desk_bound_table_matches_the_cli():
     def bounds(row):
         return [tuple(map(int, group.split(", "))) for group in re.findall(r"at most (\d+(?:, \d+)*)", table[row])]
 
-    assert bounds("`interp`") == [_DESK_SIZE["interp"]]
-    assert bounds("`superjack`") == [_DESK_SIZE["superjack"]]
-    assert bounds("`expand`") == [_DESK_SIZE["expand"]]
-    assert bounds("`kmu`") == [_DESK_SIZE["kmu"], (_DESK_HOOK_PRODUCT_SIZE,)]
-    assert bounds("`jack`") == [(_DESK_JACK_SIZE,)]
-    assert bounds("`grid`") == [(_DESK_GRID_SIZE,)]
-    assert bounds("`verify`") == [(DESK_MAX_SIZE,), (DESK_WINDOW,)]
-    for row in ("`interp`", "`superjack`", "`expand`", "`kmu`", "`grid`", "`verify`"):
+    rows = {"`verify`": [(DESK_MAX_SIZE,), (DESK_WINDOW,)]}
+    for (command, _, _), bound in _DESK_SIZE.items():
+        rows.setdefault(f"`{command}`", []).append(bound if isinstance(bound, tuple) else (bound,))
+    assert {row: sorted(bounds(row)) for row in rows} == {row: sorted(found) for row, found in rows.items()}
+    for row in {f"`{command}`" for command, _, paired in _DESK_SIZE if paired} | {"`verify`"}:
         assert f"`p, q <= {DESK_PQ}`" in table[row]
 
 
@@ -523,3 +528,66 @@ def test_non_ascii_digits_are_usage_errors(argv, capsys):
 def test_ascii_digits_and_the_empty_partition_still_parse(capsys):
     assert invoke(capsys, "superjack", "--mu", "∅", "--p", "1", "--q", "1", "--theta", "-1/2") == (0, "1\n")
     assert invoke(capsys, "hooks", "--p", "+1", "--q", " 1", "--size", "01")[0] == 0
+
+
+# generated argv for every subcommand: each option is given with
+# probability 7/8, so some calls miss a required one, and each value is
+# small (6 in 8), far past every bound (1 in 8; the largest bound, grid's,
+# is 10**6) or malformed (1 in 8).  Nothing costly runs: the bounds refuse
+# every large value before any work.
+@st.composite
+def _values(draw, small):
+    kind = draw(st.integers(0, 7))
+    if kind == 0:
+        return draw(st.sampled_from(["", "x", "-1", "1.5", "1/0", "٣", "2,3"]))
+    return str(draw(st.integers(10**7, 10**30) if kind == 1 else small))
+
+
+_sizes = _values(st.integers(0, 3))
+_partitions = _values(
+    st.lists(st.integers(1, 3), min_size=1, max_size=3).map(lambda parts: ",".join(map(str, sorted(parts)[::-1])))
+)
+_pq = _values(st.integers(1, DESK_PQ + 1))
+_thetas = st.sampled_from(["1", "1/2", "-2/3", "2", "0", "-1", "x"])
+_OPTIONS = {
+    "hooks": {"--p": _pq, "--q": _pq, "--size": _sizes, "--max-size": _sizes},
+    "jack": {"--mu": _partitions, "--theta": _thetas},
+    "superjack": {"--mu": _partitions, "--p": _pq, "--q": _pq, "--theta": _thetas},
+    "grid": {"--lambda": _partitions, "--p": _pq, "--q": _pq},
+    "interp": {"--mu": _partitions, "--p": _pq, "--q": _pq},
+    "kmu": {"--mu": _partitions, "--p": _pq, "--q": _pq},
+    "expand": {"--size": _sizes, "--p": _pq, "--q": _pq},
+    "verify": {"--p": _pq, "--q": _pq, "--max-size": _sizes, "--window": _sizes},
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command] + ([draw(st.sampled_from(PROPERTIES + ("all",)))] if command == "verify" else [])
+    for option, values in _OPTIONS[command].items():
+        if draw(st.integers(0, 7)):
+            argv += [option, draw(values)]
+    return argv + ["--format", draw(st.sampled_from(["text", "structured"]))]
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse refused the argv
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200)
+@given(_argvs())
+def test_cli_exit_code_contract_under_generated_argv(argv):
+    first = code, out, err = _call(argv)
+    assert code in (0, 1, 2, 3), (code, err)
+    if code == 2:
+        assert out == "" and "error: " in err.splitlines()[-1]
+    elif argv[-1] == "structured":
+        json.loads(out)
+    assert _call(argv) == first
