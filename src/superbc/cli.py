@@ -120,7 +120,7 @@ def _desk_scale(command: str, option: str, size: int, hp: HookParams | None = No
     if isinstance(bound, tuple):
         bound, where = bound[max(hp.p, hp.q) - 1], f" at (p, q) = ({hp.p}, {hp.q})"
     if size > bound:
-        raise UsageError(f"{command} is desk scale: size <= {bound}{where}, got {size}")
+        raise UsageError(f"{command} is desk scale: size <= {bound} for {option}{where}, got {size}")
 
 
 class _Parser(argparse.ArgumentParser):

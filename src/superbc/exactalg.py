@@ -702,14 +702,13 @@ class SparsePoly:
         for that variable, built for the call, and each term is the product
         of its coefficient and its row of powers, summed by `sum` and `prod`
         over the columns with no Python loop per term.  When every
-        coefficient and coordinate is rational the sum runs in Python
-        integers: the coefficients enter as integer numerators over their
-        common denominator, and a coordinate n/d whose variable reaches
-        exponent top enters its table as n^k d^(top - k), so every term
-        carries the same factor prod d^top and the sum is divided once at
-        the end.  At an integer point every d is 1 and the tables hold the
-        plain powers.  A rational-function coefficient or coordinate enters
-        the same sum as it is."""
+        coefficient and coordinate is rational (an int is one with
+        denominator 1) the sum runs in Python integers: the coefficients
+        enter as integer numerators over their common denominator, and a
+        coordinate n/d whose variable reaches exponent top enters its table
+        as n^k d^(top - k), so every term carries the same factor prod d^top
+        and the sum is divided once at the end.  A rational-function
+        coefficient or coordinate enters the same sum as it is."""
         if len(values) != len(self.vars):
             raise VariableMismatch(f"expected {len(self.vars)} values, got {len(values)}")
         points = list(map(as_scalar, values))
@@ -724,9 +723,7 @@ class SparsePoly:
         powers = []
         for v, column in zip(points, columns):
             top = max(column)
-            if isinstance(v, Fraction) and v.denominator == 1:
-                table = [v.numerator**k for k in range(top + 1)]
-            elif rational:
+            if rational:
                 n, d = v.numerator, v.denominator
                 table = [n**k * d ** (top - k) for k in range(top + 1)]
                 den *= d**top
@@ -837,15 +834,17 @@ def solve_exact(matrix: Sequence[Sequence], rhs: Sequence, ncols: int | None = N
 
     Forward elimination is fraction-free (Bareiss): every update divides by
     the previous pivot, which is an exact division over an integral domain
-    and keeps intermediate growth polynomial.  Nullspace vectors are
-    normalized so their first nonzero coordinate is 1.
+    and keeps intermediate growth polynomial.  One back-substitution gives
+    the solution from the right-hand side, and each nullspace vector from a
+    zero right-hand side with one free coordinate 1, scaled so that its
+    first nonzero coordinate is 1.
 
-    When every entry is rational (ints and Fractions), each augmented row
-    is scaled to integers (unless every entry already is one) and repeated
-    rows are dropped, so elimination runs in Python integers with exact
-    floor division; back-substitution then runs in Fractions.  Neither step
-    changes the solution set, and the reported solution and nullspace are
-    determined by it, so the outcome is the rational one.
+    When every entry is rational (an int is one with denominator 1), each
+    augmented row is scaled to integers over its common denominator and
+    repeated rows are dropped, so elimination runs in Python integers with
+    exact floor division; back-substitution then runs in Fractions.
+    Neither step changes the solution set, and the reported solution and
+    nullspace are determined by it, so the outcome is the rational one.
     """
     rows = [list(r) for r in matrix]
     b = list(rhs)
@@ -861,10 +860,7 @@ def solve_exact(matrix: Sequence[Sequence], rhs: Sequence, ncols: int | None = N
     else:
         n = ncols or 0
     aug = [rows[i] + [b[i]] for i in range(m)]
-    if all(type(v) is int for row in aug for v in row):
-        aug = [list(row) for row in dict.fromkeys(map(tuple, aug))]
-        exact = operator.floordiv
-    elif all(isinstance(v, (int, Fraction)) for row in aug for v in row):
+    if all(isinstance(v, (int, Fraction)) for row in aug for v in row):
         aug = [list(row) for row in dict.fromkeys(_common_denominator(row)[0] for row in aug)]
         exact = operator.floordiv
     else:
@@ -896,32 +892,24 @@ def solve_exact(matrix: Sequence[Sequence], rhs: Sequence, ncols: int | None = N
     for i in range(rank, m):
         if aug[i][n]:
             return LinearSolveOutcome(INCONSISTENT)
-    # as_scalar lifts integer entries to Fractions, so no int / int division
-    # happens below.
+
+    def back_substitute(right: Sequence[Scalar], x: list[Scalar]) -> tuple:
+        # fills the pivot coordinates of x from its free ones; every right[k]
+        # and x[j] is an exact scalar, so no int / int division happens here
+        for k in range(rank - 1, -1, -1):
+            row, c = aug[k], piv_cols[k]
+            acc = right[k]
+            for j in range(c + 1, n):
+                if row[j] and x[j]:
+                    acc = acc - row[j] * x[j]
+            x[c] = acc / row[c]
+        return tuple(x)
+
     if rank == n:
-        x: list[Scalar] = [_ZERO] * n
-        for k in range(rank - 1, -1, -1):
-            c = piv_cols[k]
-            acc = as_scalar(aug[k][n])
-            for j in range(c + 1, n):
-                if aug[k][j] and x[j]:
-                    acc = acc - aug[k][j] * x[j]
-            x[c] = acc / aug[k][c]
-        return LinearSolveOutcome(UNIQUE, solution=tuple(x))
-    free = [c for c in range(n) if c not in piv_cols]
+        return LinearSolveOutcome(UNIQUE, solution=back_substitute([as_scalar(row[n]) for row in aug], [_ZERO] * n))
     basis = []
-    for f in free:
-        v: list[Scalar] = [_ZERO] * n
-        v[f] = _ONE
-        for k in range(rank - 1, -1, -1):
-            c = piv_cols[k]
-            acc: Scalar = _ZERO
-            for j in range(c + 1, n):
-                if aug[k][j] and v[j]:
-                    acc = acc + aug[k][j] * v[j]
-            v[c] = -acc / aug[k][c]
+    for f in (c for c in range(n) if c not in piv_cols):
+        v = back_substitute([_ZERO] * rank, [_ONE if c == f else _ZERO for c in range(n)])
         lead = next(val for val in v if val)
-        if lead != 1:
-            v = [val / lead for val in v]
-        basis.append(tuple(v))
+        basis.append(v if lead == 1 else tuple(val / lead for val in v))
     return LinearSolveOutcome(UNDERDETERMINED, nullspace=tuple(basis))

@@ -213,10 +213,8 @@ def _m_to_p_rows(d: int) -> dict:
     return rows
 
 
-def basis_convert(f: SymFun, target: str, degree_bound: int | None = None) -> dict:
+def basis_convert(f: SymFun, target: str) -> dict:
     """Coefficients of f in the requested basis ("p" or "m")."""
-    if degree_bound is not None and f.degree > degree_bound:
-        raise ValueError(f"degree {f.degree} exceeds the stated bound {degree_bound}")
     if target == "p":
         return dict(f.coeffs)
     if target == "m":

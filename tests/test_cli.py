@@ -147,7 +147,7 @@ def test_kmu_hook_product_prints_up_to_its_desk_bound(capsys):
     code = run(["kmu", "--mu", str(bound + 1), "--format", "structured"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == f"error: kmu is desk scale: size <= 1558, got {bound + 1}\n"
+    assert captured.err == f"error: kmu is desk scale: size <= 1558 for --mu, got {bound + 1}\n"
 
 
 def test_expand_text(capsys):
@@ -219,13 +219,19 @@ def test_desk_scale_bounds_admit_their_own_size(capsys):
             for hp in (HookParams(m, 1), HookParams(1, m), HookParams(m, m)) if paired else (None,):
                 _desk_scale(command, option, _bound(bounds, m), hp)
     assert run(["interp", "--mu", "10", "--p", "2", "--q", "1"]) == 2
-    assert capsys.readouterr().err == "error: interp is desk scale: size <= 9 at (p, q) = (2, 1), got 10\n"
+    assert capsys.readouterr().err == "error: interp is desk scale: size <= 9 for --mu at (p, q) = (2, 1), got 10\n"
     grid = _DESK_SIZE["grid", "--lambda", True]
     assert run(["grid", "--lambda", str(grid), "--p", str(DESK_PQ), "--q", str(DESK_PQ)]) == 0
     captured = capsys.readouterr()
     assert captured.err == "" and captured.out.count("\n") == 1
     assert run(["grid", "--lambda", f"{grid},1", "--p", "1", "--q", "1"]) == 2
-    assert capsys.readouterr().err == f"error: grid is desk scale: size <= {grid}, got {grid + 1}\n"
+    assert capsys.readouterr().err == f"error: grid is desk scale: size <= {grid} for --lambda, got {grid + 1}\n"
+    # hooks bounds --size and --max-size apart, so the text names the option
+    bound = _DESK_SIZE["hooks", "--max-size", True][0]
+    assert run(["hooks", "--p", "1", "--q", "1", "--max-size", str(bound + 1)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: hooks is desk scale: size <= {bound} for --max-size at (p, q) = (1, 1), got {bound + 1}\n"
+    )
 
 
 def test_superjack_has_one_bound_for_every_theta(capsys):

@@ -88,11 +88,6 @@ def test_m_to_p_rows_are_built_by_back_substitution():
     assert elapsed < 2.0
 
 
-def test_basis_convert_degree_bound():
-    with pytest.raises(ValueError):
-        basis_convert(SymFun.p(P(3)), "m", degree_bound=2)
-
-
 def test_jack_inner_examples():
     p1 = SymFun.p(P(1))
     assert jack_inner(p1, p1, THETA) == 1 / THETA
