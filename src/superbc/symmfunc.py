@@ -13,7 +13,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 from threading import Lock, get_ident
 
 from superbc.exactalg import (
@@ -29,9 +29,7 @@ from superbc.exactalg import (
     as_scalar,
     rational_record,
     signed_sum_text,
-    # unused here since the m -> p table is built by back-substitution, but
-    # bench/tests checks that the tracer rebinds every module's solve_exact
-    solve_exact,
+    solve_exact,  # unused here; bench/tests checks that the tracer rebinds it
 )
 from superbc.partitions import Partition, UsageError, partitions_of, sort_key
 
@@ -63,9 +61,7 @@ class SymFun:
     @classmethod
     def p(cls, lam) -> "SymFun":
         """The power-sum product indexed by a partition."""
-        if not isinstance(lam, Partition):
-            lam = Partition(tuple(lam))
-        return cls({lam: Fraction(1)})
+        return cls({lam: 1})
 
     @classmethod
     def from_m(cls, coeffs) -> "SymFun":
@@ -74,8 +70,10 @@ class SymFun:
         return cls(add_products((c / den, num) for c, (num, den) in rows))
 
     def to_m(self) -> dict:
-        """Monomial-basis coefficients."""
-        return add_products((c, _p_to_m_expansion(mu.parts)) for mu, c in self.coeffs.items())
+        """Monomial-basis coefficients, keyed by `partitions_of`'s partitions."""
+        sums = add_products((c, _p_to_m_expansion(mu.parts)) for mu, c in self.coeffs.items())
+        named = {nu.parts: nu for d in {mu.size for mu in self.coeffs} for nu in partitions_of(d)}
+        return {named[nu]: c for nu, c in sums.items()}
 
     def __add__(self, other):
         if not isinstance(other, SymFun):
@@ -137,10 +135,7 @@ class SymFun:
 
 def z_lambda(lam: Partition) -> int:
     """Product of i^{m_i} m_i! over part multiplicities m_i."""
-    out = 1
-    for v, m in Counter(lam.parts).items():
-        out *= v**m * factorial(m)
-    return out
+    return prod(v**m * factorial(m) for v, m in Counter(lam.parts).items())
 
 
 def monomial_expand(lam: Partition, n: int) -> SparsePoly:
@@ -178,11 +173,11 @@ def _p_step(r: int, mu: tuple) -> tuple:
 @lru_cache(maxsize=None)
 def _p_to_m_expansion(parts: tuple) -> dict:
     """Monomial-basis coefficients of the power-sum product p_parts, all
-    integers."""
+    integers, keyed by parts tuples."""
     acc: dict = {(): 1}
     for r in parts:
         acc = add_terms((nu, c * k) for mu, c in acc.items() for nu, k in _p_step(r, mu))
-    return {Partition(mu): c for mu, c in acc.items()}
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -196,20 +191,26 @@ def _m_to_p_rows(d: int) -> dict:
     `partitions_of` lists every such nu before lam, so m_lam = (p_lam - sum
     of c_nu m_nu) / k_lam is found from rows already built.  Row lam is
     formed over k_lam L, with L the lcm of the D_nu it reads, and the
-    content of (N, D) is divided out."""
+    content of (N, D) is divided out.  A sum that cancels is deleted, and
+    appended if it comes back, as `add_terms` does: that fixes key order."""
     rows: dict = {}
     for lam in partitions_of(d):
-        p_lam = _p_to_m_expansion(lam.parts)
-        above = [(nu.parts, c) for nu, c in p_lam.items() if nu != lam]
-        scale = lcm(*(rows[nu][1] for nu, _ in above))
+        key = lam.parts
+        p_lam = _p_to_m_expansion(key)
+        above = [(rows[nu], c) for nu, c in p_lam.items() if nu != key]
+        scale = lcm(*(den for (_, den), _ in above))
         row = {lam: scale}
-        for nu, c in above:
-            num, den = rows[nu]
+        get = row.get
+        for (num, den), c in above:
             f = c * (scale // den)
-            add_terms(((rho, -f * v) for rho, v in num.items()), row)
-        den = p_lam[lam] * scale
+            for rho, v in num.items():
+                if s := get(rho, 0) - f * v:
+                    row[rho] = s
+                else:
+                    del row[rho]
+        den = p_lam[key] * scale
         g = gcd(den, *row.values())
-        rows[lam.parts] = ({rho: v // g for rho, v in row.items()}, den // g)
+        rows[key] = ({rho: v // g for rho, v in row.items()}, den // g)
     return rows
 
 
@@ -408,9 +409,8 @@ def jack_P(lam: Partition, theta=THETA) -> SymFun:
 
 
 # ---------------------------------------------------------------------------
-# on-disk persistence of the expansion cache: library functions only (the
-# CLI reads and writes no file); they stay because the benchmark tracer in
-# bench/tracing.py wraps save_jack_cache and load_jack_cache
+# on-disk persistence of the expansion cache, which the CLI never touches;
+# kept because the tracer in bench/tracing.py wraps both cache functions
 
 
 def _scalar_to_json(c):

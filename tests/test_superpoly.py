@@ -26,7 +26,7 @@ from superbc.superpoly import (
 )
 from superbc.symmfunc import DegenerateParameter, SymFun, jack_P
 
-from .oracles import phi_product
+from .oracles import cms_eigenvalue, cms_operator, phi_product
 from .strategies import scalars, sparse_polys
 
 P = Partition.of
@@ -218,6 +218,41 @@ def test_super_jack_at_one_matches_the_jack_route():
                 got = super_jack(lam, hp, ONE)
                 assert got == expected and got.vars == expected.vars, (lam, hp)
                 assert all(type(c) is Fraction for c in got.terms.values()), (lam, hp)
+
+
+def test_super_jack_is_an_eigenfunction_of_the_deformed_cms_operator():
+    # Sergeev-Veselov: L_theta SP_lam = eps_lam SP_lam, checked by an
+    # operator that shares no code with super_jack (tests/oracles.py), so
+    # jack_P's power-sum coefficients and phi_theta are checked at theta != 1
+    # and the branching rule at theta = 1; a non-hook (the zero polynomial)
+    # is not enumerated, and a pole of jack_P is skipped
+    thetas = [Fraction(1, 2), Fraction(2), Fraction(-2, 3), Fraction(7, 3), ONE, Fraction(-3, 2)]
+    cases = [(theta, 4) for theta in thetas] + [(THETA, 3)]
+    checked = 0
+    for theta, top in cases:
+        for p in (1, 2, 3):
+            for q in (1, 2, 3):
+                hp = HookParams(p, q)
+                for lam in enumerate_hooks(hp, top, "upto"):
+                    try:
+                        f = super_jack(lam, hp, theta)
+                    except DegenerateParameter:
+                        continue
+                    eps = cms_eigenvalue(lam, p, q, theta)
+                    expected = {e: v for e, c in f.terms.items() if (v := eps * c)}
+                    assert cms_operator(f, p, theta) == expected, (theta, hp, lam)
+                    checked += 1
+    assert checked == 6 * 107 + 63
+
+
+def test_the_cms_eigenvalue_at_q_0_is_the_jack_eigenvalue():
+    # at q = 0 eps_lam is sum lam_i^2 + theta sum (p + 1 - 2i) lam_i, the
+    # Calogero-Sutherland eigenvalue of the Jack polynomials (Macdonald VI.3-4)
+    for theta in (Fraction(1, 2), Fraction(-3, 2), THETA):
+        for lam in partitions_of(6):
+            for p in range(lam.length, 8):
+                jack = sum(v * v + theta * (p - 1 - 2 * i) * v for i, v in enumerate(lam.parts))
+                assert cms_eigenvalue(lam, p, 0, theta) == jack, (theta, lam, p)
 
 
 def test_super_schur_at_a_point_is_the_polynomial_there():

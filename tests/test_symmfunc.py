@@ -71,14 +71,32 @@ def test_m_to_p_rows_invert_the_p_to_m_matrix():
             for rho, n in num.items():
                 for nu, c in _p_to_m_expansion(rho.parts).items():
                     product[nu] = product.get(nu, 0) + Fraction(n, den) * c
-            assert {nu: c for nu, c in product.items() if c} == {Partition(lam): 1}
+            assert {nu: c for nu, c in product.items() if c} == {lam: 1}
+
+
+def test_p_to_m_expansion_is_the_power_sum_product_in_d_variables():
+    # independent of _p_step: in d variables m_mu is the orbit sum of x^mu
+    # (mu padded with zeros), so [m_mu] p_rho is the coefficient of x^mu in
+    # the SparsePoly product of the power sums p_r = x1^r + ... + xd^r
+    for d in range(8):
+        names = tuple(f"x{i}" for i in range(1, d + 1))
+        for rho in partitions_of(d):
+            product = SparsePoly.constant(names, 1)
+            for r in rho.parts:
+                product = product * SparsePoly(names, {(0,) * i + (r,) + (0,) * (d - i - 1): 1 for i in range(d)})
+            expected = {}
+            for mu in partitions_of(d):
+                c = product.terms.get(mu.parts + (0,) * (d - mu.length), 0)
+                if c:
+                    expected[mu.parts] = c
+            assert _p_to_m_expansion(rho.parts) == expected, rho
 
 
 def test_m_to_p_rows_are_built_by_back_substitution():
     # one exact solve per partition took about 3.4 s at degree 12 (77
     # partitions), and back-substitution in Fractions about 0.13 s;
-    # integer rows over one denominator each, with the power-sum expansions
-    # built afresh, take about 0.03 s on a 2-core Xeon
+    # integer rows over one denominator each, with the parts-keyed power-sum
+    # expansions built afresh, take about 0.01 s on a 2-core Xeon
     _m_to_p_rows.cache_clear()
     _p_to_m_expansion.cache_clear()
     start = time.perf_counter()
